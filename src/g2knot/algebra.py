@@ -5,7 +5,6 @@ of 2-forms, and associativity of 3-planes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -16,6 +15,7 @@ from .errors import DegenerateForm, DegenerateSpan, NonUnitAxis
 from .forms import DIM, AltForm, basis_form, contract, hodge_star, multi_indices, wedge
 
 UNIT_AXIS_TOL = 1e-12
+FLAT_METRIC_TOL = 1e-12
 
 
 def standard_phi() -> AltForm:
@@ -35,19 +35,24 @@ def standard_phi() -> AltForm:
 
 @dataclass(frozen=True)
 class G2Structure:
-    """A non-degenerate 3-form with its induced metric, volume and 4-form."""
+    """A non-degenerate 3-form with its induced metric, volume and 4-form,
+    and the dense tensors of rho, rho* and the cross product, built once."""
 
     rho: AltForm
     metric: np.ndarray          # 7x7 symmetric positive definite
     vol_coeff: float            # volume form = vol_coeff * e^{1...7}
     rho_star: AltForm           # *rho under (metric, vol)
     metric_inv: np.ndarray = field(init=False, repr=False)
+    rho_tensor: np.ndarray = field(init=False, repr=False)
+    rho_star_tensor: np.ndarray = field(init=False, repr=False)
     cross_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metric_inv", np.linalg.inv(self.metric))
+        object.__setattr__(self, "rho_tensor", self.rho.tensor())
+        object.__setattr__(self, "rho_star_tensor", self.rho_star.tensor())
         # (x*y)^k = g^{kl} rho_{ijl} x^i y^j
-        ct = np.tensordot(self.rho.tensor(), self.metric_inv, axes=([2], [0]))
+        ct = np.tensordot(self.rho_tensor, self.metric_inv, axes=([2], [0]))
         object.__setattr__(self, "cross_tensor", ct)
 
     @property
@@ -97,6 +102,19 @@ def standard_g2() -> G2Structure:
     return metric_from_three_form(standard_phi())
 
 
+def flat_g2(g2: G2Structure | None = None) -> G2Structure:
+    """The structure for the knot-space layers: standard_g2() for None.
+
+    Those layers contract with the Euclidean metric, so a structure whose
+    metric is not the identity to FLAT_METRIC_TOL raises ValueError.
+    """
+    if g2 is None:
+        return standard_g2()
+    if np.abs(g2.metric - np.eye(DIM)).max() > FLAT_METRIC_TOL:
+        raise ValueError("the knot-space layers need a G2 structure with the identity metric")
+    return g2
+
+
 def cross(g2: G2Structure, x, y) -> np.ndarray:
     """Vector product x ⋆ y = rho(x, y, ·)^sharp."""
     x = np.asarray(x, dtype=float)
@@ -134,13 +152,26 @@ def octonion_mul(a: Octonion, b: Octonion, g2: G2Structure) -> Octonion:
     return Octonion(imag=imag, real=real)
 
 
-def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
-    """J_v(x) = v ⋆ (x - g(x,v) v) for a unit axis v."""
+def _unit_axis(g2: G2Structure, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if abs(g2.vnorm(v) - 1.0) > UNIT_AXIS_TOL:
         raise NonUnitAxis(f"|v| = {g2.vnorm(v)!r} is not 1 within {UNIT_AXIS_TOL}")
+    return v
+
+
+def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
+    """J_v(x) = v ⋆ (x - g(x,v) v) for a unit axis v."""
+    v = _unit_axis(g2, v)
     x = np.asarray(x, dtype=float)
     return cross(g2, v, x - g2.inner(x, v) * v)
+
+
+def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
+                     B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (N,7) argument arrays."""
+    re = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, C)
+    im = -np.einsum("ijkl,ni,nj,nk,nl->n", g2.rho_star_tensor, v, A, B, C)
+    return re + 1j * im
 
 
 class Su3VolumeForm:
@@ -152,25 +183,16 @@ class Su3VolumeForm:
     """
 
     def __init__(self, g2: G2Structure, v):
-        v = np.asarray(v, dtype=float)
-        if abs(g2.vnorm(v) - 1.0) > UNIT_AXIS_TOL:
-            raise NonUnitAxis(f"|v| = {g2.vnorm(v)!r} is not 1 within {UNIT_AXIS_TOL}")
         self.g2 = g2
-        self.v = v
-        self.imag_part = -1.0 * contract(g2.rho_star, v)
+        self.v = _unit_axis(g2, v)
 
-    def _project(self, x):
-        x = np.asarray(x, dtype=complex)
-        coef = (x.real @ self.g2.metric @ self.v) + 1j * (x.imag @ self.g2.metric @ self.v)
-        return x - coef * self.v
+    def _project(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        return x - (x @ self.g2.metric @ self.v) * self.v
 
     def __call__(self, a, b, c) -> complex:
-        a, b, c = self._project(a), self._project(b), self._project(c)
-        re_t = self.g2.rho.tensor()
-        im_t = self.imag_part.tensor()
-        val_re = np.einsum("ijk,i,j,k->", re_t, a, b, c)
-        val_im = np.einsum("ijk,i,j,k->", im_t, a, b, c)
-        return complex(val_re + 1j * val_im)
+        a, b, c = (self._project(x)[None] for x in (a, b, c))
+        return complex(omega3_integrand(self.g2, self.v[None], a, b, c)[0])
 
 
 def su3_volume_form(g2: G2Structure, v) -> Su3VolumeForm:
@@ -227,7 +249,7 @@ def lie_action_on_rho(g2: G2Structure, beta: AltForm) -> AltForm:
     Vanishes exactly when beta lies in Lambda^2_14 (the g2 subalgebra).
     """
     A = skew_endomorphism(g2, beta)
-    t = g2.rho.tensor()
+    t = g2.rho_tensor
     acted = (np.einsum("il,ljk->ijk", A, t)
              + np.einsum("jl,ilk->ijk", A, t)
              + np.einsum("kl,ijl->ijk", A, t))
@@ -254,7 +276,7 @@ def is_associative(g2: G2Structure, u, v, w, tol: float = 1e-8) -> tuple[bool, f
             a = a - g2.inner(a, e) * e
         ortho.append(a / g2.vnorm(a))
     u1, v1, w1 = ortho
-    calibration = float(np.einsum("ijk,i,j,k->", g2.rho.tensor(), u1, v1, w1))
+    calibration = float(np.einsum("ijk,i,j,k->", g2.rho_tensor, u1, v1, w1))
     p = cross(g2, u1, v1)
     residual = p - sum(g2.inner(p, e) * e for e in ortho)
     flag = g2.vnorm(residual) < tol

@@ -20,8 +20,7 @@ from .algebra import (Octonion, is_associative, octonion_mul, standard_g2,
                       cross, two_form_decompose)
 from .errors import G2KnotError
 from .forms import AltForm, multi_indices
-from .loops import (FourierLoopSpec, Loop7, circle_loop, loop_from_fourier,
-                    loop_from_json, loop_to_json, unit_speed_reparam)
+from .loops import circle_loop, loop_from_json, loop_to_json, unit_speed_reparam
 
 _BASIS_TERM = re.compile(r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\s*e([1-7])")
 
@@ -233,17 +232,8 @@ def _cmd_loop(args) -> int:
             loop = circle_loop(args.n)
             spec = None
         else:
-            rng = np.random.default_rng(args.seed)
-            for _ in range(50):
-                spec = verify.random_fourier_spec(rng, args.n, args.k)
-                try:
-                    loop = loop_from_fourier(spec)
-                except G2KnotError:
-                    continue
-                if loop.speeds.min() / loop.speeds.mean() >= verify.SPEED_RATIO_FLOOR:
-                    break
-            else:
-                raise ValueError("could not sample a well-conditioned loop")
+            loop, spec = verify.random_fourier_loop(np.random.default_rng(args.seed),
+                                                    args.n, args.k)
         _write_output(args.out, loop_to_json(loop, spec))
     elif args.loop_command == "reparam":
         loop = loop_from_json(_read_input(args.input))

@@ -41,14 +41,6 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((DIM,) * DIM)
-    for perm in itertools.permutations(range(DIM)):
-        eps[perm] = _perm_sign(perm)
-    return eps
-
-
 class AltForm:
     """Alternating k-form on R^7 with dense increasing-multi-index storage."""
 
@@ -185,24 +177,17 @@ def hodge_star(a: AltForm, metric: np.ndarray, vol_coeff: float) -> AltForm:
     Defined by beta ∧ *a = <beta, a>_g vol for every beta of the same degree.
     """
     k = a.degree
-    if k == 0:
-        return AltForm(DIM, np.array([vol_coeff * a.coeffs[0]]))
-    if k == DIM:
-        ginv = np.linalg.inv(metric)
-        # <a, a>_g picks up det(ginv); *(c e^{1..7}) = c det(g)^{-1} vol_coeff
-        return AltForm(0, np.array([a.coeffs[0] * np.linalg.det(ginv) * vol_coeff]))
     ginv = np.linalg.inv(metric)
     raised = a.tensor()
     for axis in range(k):
         raised = np.tensordot(raised, ginv, axes=([0], [0]))
         # tensordot moves the contracted axis to the end; k moves restore order
-    eps = _levi_civita()
-    # (*a)_J = (1/k!) a^{I} eps_{I J} vol_coeff
-    star_tensor = np.tensordot(raised, eps, axes=(tuple(range(k)), tuple(range(k))))
-    star_tensor *= vol_coeff / math.factorial(k)
+    # (*a)_{I^c} = sign(I, I^c) a^{I} vol_coeff for each increasing I
     out = AltForm(DIM - k)
-    for pos, idx in enumerate(multi_indices(DIM - k)):
-        out.coeffs[pos] = star_tensor[idx]
+    pos = index_position(DIM - k)
+    for idx in multi_indices(k):
+        rest = tuple(i for i in range(DIM) if i not in idx)
+        out.coeffs[pos[rest]] = _perm_sign(idx + rest) * raised[idx] * vol_coeff
     return out
 
 

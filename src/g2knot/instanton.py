@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import G2Structure, hermitian_trace_vector, standard_g2, two_form_decompose
+from .algebra import G2Structure, flat_g2, hermitian_trace_vector, two_form_decompose
 from .errors import ZeroCurvature
 from .forms import AltForm
 from .loops import Loop7
@@ -19,10 +19,6 @@ from .loops import Loop7
 INSTANTON_TOL = 1e-10
 LIFTED_TOL = 1e-6
 MAX_GENERATOR_DIM = 4
-
-
-def _g2_or_default(g2: G2Structure | None) -> G2Structure:
-    return standard_g2() if g2 is None else g2
 
 
 @dataclass
@@ -79,11 +75,6 @@ def lifted_curvature_type_residual(g2: G2Structure, sample: CurvatureSample,
         raise ZeroCurvature("curvature 2-form is identically zero")
     if len(loops) == 0:
         raise ValueError("need at least one loop")
-    tau = hermitian_trace_vector(g2, sample.form)
-    worst = 0.0
-    for loop in loops:
-        T = loop.unit_tangent
-        norms = np.sqrt(np.einsum("ni,ij,nj->n", T, g2.metric, T))
-        T = T / norms[:, None]
-        worst = max(worst, float(np.abs(T @ tau).max()))
+    tau = hermitian_trace_vector(flat_g2(g2), sample.form)
+    worst = max(float(np.abs(loop.unit_tangent @ tau).max()) for loop in loops)
     return worst / norm

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, cross_field, standard_g2
+from .algebra import G2Structure, cross_field, flat_g2
 from .errors import StepOutOfRange
 from .loops import Loop7, integrate, normal_project, spectral_derivative
 
@@ -23,33 +23,9 @@ H_MIN, H_MAX = 1e-6, 1e-2
 OMEGA_METRIC_SIGN = 1.0
 
 
-def _g2_or_default(g2: G2Structure | None) -> G2Structure:
-    return standard_g2() if g2 is None else g2
-
-
 def acs_apply(loop: Loop7, X: np.ndarray, g2: G2Structure | None = None) -> np.ndarray:
-    """Almost complex structure: (I X)(t) = T(t) ⋆ X_N(t)."""
-    g2 = _g2_or_default(g2)
-    T = _unit_tangent(loop, g2)
-    X_N = _metric_normal_project(loop, X, g2)
-    return cross_field(g2, T, X_N)
-
-
-def _unit_tangent(loop: Loop7, g2: G2Structure) -> np.ndarray:
-    T = loop.unit_tangent
-    norms = np.sqrt(np.einsum("ni,ij,nj->n", T, g2.metric, T))
-    return T / norms[:, None]
-
-
-def _metric_normal_project(loop: Loop7, X: np.ndarray, g2: G2Structure) -> np.ndarray:
-    X = np.asarray(X)
-    T = _unit_tangent(loop, g2)
-    if np.iscomplexobj(X):
-        coef = (np.einsum("ni,ij,nj->n", X.real, g2.metric, T)
-                + 1j * np.einsum("ni,ij,nj->n", X.imag, g2.metric, T))
-    else:
-        coef = np.einsum("ni,ij,nj->n", X, g2.metric, T)
-    return X - coef[:, None] * T
+    """Almost complex structure: (I X)(t) = T(t) ⋆ X_N(t); complex-linear."""
+    return cross_field(flat_g2(g2), loop.unit_tangent, normal_project(loop, X))
 
 
 def omega(loop: Loop7, X: np.ndarray, Y: np.ndarray, g2: G2Structure | None = None):
@@ -58,8 +34,7 @@ def omega(loop: Loop7, X: np.ndarray, Y: np.ndarray, g2: G2Structure | None = No
     As a line integral of rho this is invariant under reparametrization, so
     no unit-speed normalization is needed.
     """
-    g2 = _g2_or_default(g2)
-    vals = np.einsum("ijk,...i,...j,...k->...", g2.rho.tensor(),
+    vals = np.einsum("ijk,...i,...j,...k->...", flat_g2(g2).rho_tensor,
                      np.asarray(X), np.asarray(Y), loop.velocity)
     return integrate(loop, vals)
 
@@ -71,12 +46,9 @@ def hermitian_metric(loop: Loop7, X: np.ndarray, Y: np.ndarray,
     The speed weight makes G reparametrization invariant and equal to the
     constant-speed-chart value ∫ g(X_N, Y_N) dt up to the fixed speed factor.
     """
-    g2 = _g2_or_default(g2)
-    X_N = _metric_normal_project(loop, X, g2)
-    Y_N = _metric_normal_project(loop, Y, g2)
-    speeds = np.sqrt(np.einsum("ni,ij,nj->n", loop.velocity, g2.metric, loop.velocity))
-    vals = np.einsum("ni,ij,nj->n", X_N, g2.metric, Y_N) * speeds
-    return integrate(loop, vals)
+    flat_g2(g2)  # rejects a non-flat structure; G is Euclidean here
+    vals = np.einsum("ni,ni->n", normal_project(loop, X), normal_project(loop, Y))
+    return integrate(loop, vals * loop.speeds)
 
 
 @dataclass
@@ -87,7 +59,7 @@ class KnotChart:
     g2: G2Structure | None = None
 
     def __post_init__(self):
-        self.g2 = _g2_or_default(self.g2)
+        self.g2 = flat_g2(self.g2)
 
     def loop_at(self, u: np.ndarray) -> Loop7:
         return Loop7(self.base.samples + np.asarray(u, dtype=float))
@@ -99,13 +71,10 @@ class KnotChart:
         """Quotient identification: shift W along the loop tangent so it is
         pointwise normal to the base (tangential shifts are reparametrizations).
         """
-        g2 = self.g2
-        tau = _unit_tangent(loop, g2)
-        T_b = _unit_tangent(self.base, g2)
-        num = np.einsum("ni,ij,nj->n", np.asarray(W).real, g2.metric, T_b)
-        if np.iscomplexobj(W):
-            num = num + 1j * np.einsum("ni,ij,nj->n", np.asarray(W).imag, g2.metric, T_b)
-        den = np.einsum("ni,ij,nj->n", tau, g2.metric, T_b)
+        tau = loop.unit_tangent
+        T_b = self.base.unit_tangent
+        num = np.einsum("ni,ni->n", np.asarray(W), T_b)
+        den = np.einsum("ni,ni->n", tau, T_b)
         return W - (num / den)[:, None] * tau
 
     def acs(self, u: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -124,31 +93,28 @@ def _check_step(h: float):
         raise StepOutOfRange(f"step {h} outside [{H_MIN}, {H_MAX}]")
 
 
-def _directional(chart: KnotChart, field_map, u: np.ndarray,
-                 direction: np.ndarray, h: float) -> np.ndarray:
-    """Centered difference of a chart field map along a possibly complex direction."""
-    def real_directional(d: np.ndarray) -> np.ndarray:
-        scale = np.abs(d).max()
-        if scale == 0.0:
-            return np.zeros_like(np.asarray(field_map(u)))
-        step = h / scale
-        return (np.asarray(field_map(u + step * d)) -
-                np.asarray(field_map(u - step * d))) / (2.0 * step)
+def _centered(f, d: np.ndarray, h: float):
+    """Centered difference (f(s d) - f(-s d)) / 2s with step s = h / max|d|.
 
-    direction = np.asarray(direction)
-    if np.iscomplexobj(direction):
-        return real_directional(direction.real) + 1j * real_directional(direction.imag)
-    return real_directional(direction)
+    The points s d must stay real, so a complex direction is split into its
+    real and imaginary parts; a zero direction gives zeros shaped like f.
+    """
+    d = np.asarray(d)
+    if np.iscomplexobj(d):
+        return _centered(f, d.real, h) + 1j * _centered(f, d.imag, h)
+    scale = np.abs(d).max()
+    if scale == 0.0:
+        return np.zeros_like(f(d))
+    step = h / scale
+    return (f(step * d) - f(-step * d)) / (2.0 * step)
 
 
 def chart_bracket(chart: KnotChart, A, B, u: np.ndarray, h: float) -> np.ndarray:
     """Commutator [A, B](u) of two chart field maps by centered differences."""
     _check_step(h)
     u = np.asarray(u, dtype=float)
-    a_val = np.asarray(A(u))
-    b_val = np.asarray(B(u))
-    return (_directional(chart, B, u, a_val, h)
-            - _directional(chart, A, u, b_val, h))
+    return (_centered(lambda du: B(u + du), A(u), h)
+            - _centered(lambda du: A(u + du), B(u), h))
 
 
 def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.ndarray:
@@ -164,10 +130,10 @@ def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.nd
     IX0 = I_at(zero, X)
     IY0 = I_at(zero, Y)
     # [IX, Y] = -d/de I_{u=eY}(X); [X, IY] = +d/de I_{u=eX}(Y)
-    d_IX_along_Y = _directional(chart, lambda u: I_at(u, X), zero, Y, h)
-    d_IY_along_X = _directional(chart, lambda u: I_at(u, Y), zero, X, h)
-    d_IY_along_IX = _directional(chart, lambda u: I_at(u, Y), zero, IX0, h)
-    d_IX_along_IY = _directional(chart, lambda u: I_at(u, X), zero, IY0, h)
+    d_IX_along_Y = _centered(lambda u: I_at(u, X), Y, h)
+    d_IY_along_X = _centered(lambda u: I_at(u, Y), X, h)
+    d_IY_along_IX = _centered(lambda u: I_at(u, Y), IX0, h)
+    d_IX_along_IY = _centered(lambda u: I_at(u, X), IY0, h)
     bracket_IX_Y = -d_IX_along_Y
     bracket_X_IY = d_IY_along_X
     bracket_IX_IY = d_IY_along_IX - d_IX_along_IY
@@ -179,8 +145,7 @@ def d_omega(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> fl
     """Exterior derivative of omega on chart-constant fields, via the exact
     linearity of u -> omega_{base+u}: X·omega(Y,Z) = ∫ rho(Y, Z, X') dt.
     """
-    g2 = chart.g2
-    rho_t = g2.rho.tensor()
+    rho_t = chart.g2.rho_tensor
     base = chart.base
 
     def term(A, B, C):
@@ -196,19 +161,9 @@ def d_omega_fd(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
                h: float) -> float:
     """Finite-difference route for d_omega, used as the independent oracle."""
     _check_step(h)
-    g2 = chart.g2
-
-    def om_at(u, A, B):
-        return omega(chart.loop_at(u), A, B, g2)
-
-    zero = np.zeros((chart.base.n, 7))
 
     def deriv(direction, A, B):
-        d = np.asarray(direction, dtype=float)
-        scale = np.abs(d).max()
-        if scale == 0.0:
-            return 0.0
-        step = h / scale
-        return (om_at(step * d, A, B) - om_at(-step * d, A, B)) / (2.0 * step)
+        return _centered(lambda u: omega(chart.loop_at(u), A, B, chart.g2),
+                         np.asarray(direction, dtype=float), h)
 
     return deriv(X, Y, Z) - deriv(Y, X, Z) + deriv(Z, X, Y)

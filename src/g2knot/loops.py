@@ -169,27 +169,14 @@ def unit_speed_reparam(loop: Loop7) -> Loop7:
     return Loop7(trig_interpolate(loop.samples, t))
 
 
-def resample_field(loop: Loop7, field: np.ndarray, t_new: np.ndarray) -> np.ndarray:
-    """Transport a variation field to a new parameter grid along the same image."""
-    field = np.asarray(field)
-    if field.shape[0] != loop.n:
-        raise ValueError("field length mismatch")
-    return trig_interpolate(field, t_new)
-
-
-def normal_project(loop: Loop7, field: np.ndarray, metric: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise projection X - g(X, T) T onto the normal spaces of the loop."""
+def normal_project(loop: Loop7, field: np.ndarray) -> np.ndarray:
+    """Pointwise projection X - (X·T) T onto the normal spaces of the loop;
+    complex-linear, so complex fields project without splitting."""
     field = np.asarray(field)
     if field.shape != (loop.n, 7):
         raise ValueError("field must have shape (N, 7)")
-    t_vec = loop.unit_tangent
-    if metric is None:
-        coef = np.einsum("ni,ni->n", field, t_vec)
-    else:
-        t_norm = np.sqrt(np.einsum("ni,ij,nj->n", t_vec, metric, t_vec))
-        t_vec = t_vec / t_norm[:, None]
-        coef = np.einsum("ni,ij,nj->n", field, metric, t_vec)
-    return field - coef[:, None] * t_vec
+    T = loop.unit_tangent
+    return field - np.einsum("ni,ni->n", field, T)[:, None] * T
 
 
 def loop_to_json(loop: Loop7, spec: FourierLoopSpec | None = None) -> str:
@@ -204,15 +191,20 @@ def loop_to_json(loop: Loop7, spec: FourierLoopSpec | None = None) -> str:
 
 def loop_from_json(text: str) -> Loop7:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("n"), int):
+        raise ValueError("loop JSON must be an object with an integer 'n'")
     if doc.get("samples") is not None:
         samples = np.asarray(doc["samples"], dtype=float)
-        if samples.shape[0] != doc["n"]:
+        if samples.shape[:1] != (doc["n"],):
             raise ValueError("sample count disagrees with 'n'")
         return Loop7(samples)
-    if doc.get("fourier") is not None:
+    fourier = doc.get("fourier")
+    if fourier is not None:
+        if not isinstance(fourier, dict) or not {"cos", "sin"} <= fourier.keys():
+            raise ValueError("loop JSON 'fourier' needs 'cos' and 'sin'")
         spec = FourierLoopSpec(
-            cos_coeffs=np.asarray(doc["fourier"]["cos"], dtype=float),
-            sin_coeffs=np.asarray(doc["fourier"]["sin"], dtype=float),
+            cos_coeffs=np.asarray(fourier["cos"], dtype=float),
+            sin_coeffs=np.asarray(fourier["sin"], dtype=float),
             n=int(doc["n"]),
         )
         return loop_from_fourier(spec)

@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, standard_g2
-from .errors import StepOutOfRange
-from .knots import H_MIN, H_MAX, KnotChart, chart_bracket
-from .loops import Loop7, integrate, spectral_derivative, unit_speed_reparam
+from .algebra import G2Structure, flat_g2, omega3_integrand
+from .knots import KnotChart, _centered, _check_step, chart_bracket
+from .loops import (Loop7, integrate, normal_project, spectral_derivative,
+                    unit_speed_reparam)
 
 UNIT_SPHERE_TOL = 1e-12
-
-
-def _g2_or_default(g2: G2Structure | None) -> G2Structure:
-    return standard_g2() if g2 is None else g2
 
 
 @dataclass
@@ -73,27 +69,18 @@ def lknot_lift(loop: Loop7) -> LKnotLift:
     return LKnotLift(base=loop, sphere_curve=loop.unit_tangent.copy())
 
 
-def _project_off(v: np.ndarray, F: np.ndarray) -> np.ndarray:
-    coef = np.einsum("ni,ni->n", F.real, v)
-    out = F - coef[:, None] * v
-    if np.iscomplexobj(F):
-        out = out - 1j * np.einsum("ni,ni->n", F.imag, v)[:, None] * v
-    return out
-
-
 def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     """Split the lift of a normal variation field X1 of the base knot.
 
     The deformed loop gamma + eps*X1 (at fixed parametrization) has unit
-    tangent v + eps*P(X1')/c, so the vertical component is the projection of
-    X1'/c onto v-perp and the horizontal component is X1 itself.  Matches the
+    tangent v + eps*P(X1')/|gamma'|, so the vertical component is the
+    projection of X1'/|gamma'| onto v-perp, with the pointwise speed, and the
+    horizontal component is X1 itself.  Complex-linear.  Matches the
     finite-difference oracle lift_tangent_fd to O(eps^2).
     """
     X1 = np.asarray(X1)
-    v = lift.sphere_curve
-    dX = spectral_derivative(X1)
-    vertical = _project_off(v, dX) / lift.speed
-    return SplitTangent(vertical=vertical, horizontal=X1)
+    dX = normal_project(lift.base, spectral_derivative(X1))
+    return SplitTangent(vertical=dX / lift.base.speeds[:, None], horizontal=X1)
 
 
 def lift_tangent_fd(lift: LKnotLift, X1: np.ndarray, eps: float = 1e-5) -> SplitTangent:
@@ -117,14 +104,6 @@ def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     return SplitTangent(vertical=-spectral_derivative(X1) / lift.speed, horizontal=X1)
 
 
-def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
-                     B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (N,7) argument arrays."""
-    re = np.einsum("ijk,ni,nj,nk->n", g2.rho.tensor(), A, B, C)
-    im = -np.einsum("ijkl,ni,nj,nk,nl->n", g2.rho_star.tensor(), v, A, B, C)
-    return re + 1j * im
-
-
 def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
                 C: SplitTangent, g2: G2Structure | None = None) -> complex:
     """The complex 3-form on the lifted knot space.
@@ -134,8 +113,7 @@ def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
     imaginary part is fixed so the form has type (3,0): replacing A_h by
     J_v A_h multiplies the value by i.
     """
-    g2 = _g2_or_default(g2)
-    vals = omega3_integrand(g2, lift.sphere_curve, np.asarray(A.horizontal),
+    vals = omega3_integrand(flat_g2(g2), lift.sphere_curve, np.asarray(A.horizontal),
                             np.asarray(B.horizontal), np.asarray(C.horizontal))
     return complex(integrate(lift.base, vals))
 
@@ -150,10 +128,9 @@ def xi_eval(g2: G2Structure, v: np.ndarray, W1: SplitTangent, W2: SplitTangent,
     values; vanishes whenever two or more arguments are purely vertical or
     all four are horizontal.
     """
-    rhos = g2.rho_star.tensor()
+    rhos = g2.rho_star_tensor
     args = [W1, W2, W3, W4]
-    n = np.asarray(W1.horizontal).shape[0]
-    vals = np.zeros(n, dtype=complex)
+    vals = 0.0  # stays real unless some argument is complex
     for a in range(4):
         others = [args[b] for b in range(4) if b != a]
         q = -np.einsum("ijkl,ni->njkl", rhos, np.asarray(args[a].vertical))
@@ -162,9 +139,6 @@ def xi_eval(g2: G2Structure, v: np.ndarray, W1: SplitTangent, W2: SplitTangent,
                          np.asarray(others[1].horizontal),
                          np.asarray(others[2].horizontal))
         vals = vals + (-1) ** a * term
-    if all(not np.iscomplexobj(w.vertical) and not np.iscomplexobj(w.horizontal)
-           for w in args):
-        return vals.real
     return vals
 
 
@@ -178,23 +152,10 @@ def xi_tilde(lift: LKnotLift, X1, X2, X3, X4,
     lift_tangent the integral is generically of order one; see the twistor
     tests for the measured gap.
     """
-    g2 = _g2_or_default(g2)
+    g2 = flat_g2(g2)
     ws = [covariant_split(lift, np.asarray(X, dtype=float)) for X in (X1, X2, X3, X4)]
     vals = xi_eval(g2, lift.sphere_curve, *ws)
     return float(integrate(lift.base, vals))
-
-
-def _check_step(h: float):
-    if not H_MIN <= h <= H_MAX:
-        raise StepOutOfRange(f"step {h} outside [{H_MIN}, {H_MAX}]")
-
-
-def _complex_normal(chart: KnotChart, field: np.ndarray) -> np.ndarray:
-    field = np.asarray(field)
-    re = chart.project(field.real.astype(float))
-    if np.iscomplexobj(field):
-        return re + 1j * chart.project(field.imag.astype(float))
-    return re.astype(complex)
 
 
 def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float,
@@ -202,43 +163,27 @@ def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float,
     """Cartan pairing Omega((1,0)-fields; bracket of (0,1)-fields).
 
     Builds type-preserving chart extensions X(u) = (1 - i I_u) x / 2 and
-    Z(u) = (1 + i I_u) z / 2 from the real parts of the inputs, computes the
-    chart bracket [Z, T], lifts everything and returns Omega(X, Y, [Z, T]).
+    Z(u) = (1 + i I_u) z / 2 from the normal projections of the inputs,
+    computes the chart bracket [Z, T], lifts everything and returns
+    Omega(X, Y, [Z, T]).
     The magnitude measures the integrability obstruction of the knot-space
     almost complex structure and tracks the Nijenhuis residual.
     """
     _check_step(h)
-    g2 = _g2_or_default(g2)
     chart = KnotChart(lift.base, g2)
     zero = np.zeros((lift.base.n, 7))
 
-    def acs_c(u, F):
-        F = np.asarray(F)
-        out = chart.acs(u, F.real.astype(float)).astype(complex)
-        if np.iscomplexobj(F):
-            out = out + 1j * chart.acs(u, F.imag.astype(float))
-        return out
-
     def type_field(seed_field, sign):
-        seed_c = _complex_normal(chart, seed_field)
-
-        def field_map(u):
-            return 0.5 * (seed_c + sign * 1j * acs_c(u, seed_c))
-        return field_map
+        seed = chart.project(seed_field)
+        return lambda u: 0.5 * (seed + sign * 1j * chart.acs(u, seed))
 
     x_map = type_field(X, -1.0)
     y_map = type_field(Y, -1.0)
     z_map = type_field(Z, +1.0)
     t_map = type_field(T, +1.0)
     bracket = chart_bracket(chart, z_map, t_map, zero, h)
-    args = [x_map(zero), y_map(zero), bracket]
-    lifted = []
-    for F in args:
-        re = lift_tangent(lift, F.real)
-        im = lift_tangent(lift, F.imag)
-        lifted.append(SplitTangent(vertical=re.vertical + 1j * im.vertical,
-                                   horizontal=re.horizontal + 1j * im.horizontal))
-    return omega3_eval(lift, *lifted, g2=g2)
+    lifted = [lift_tangent(lift, F) for F in (x_map(zero), y_map(zero), bracket)]
+    return omega3_eval(lift, *lifted, g2=chart.g2)
 
 
 def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
@@ -250,7 +195,7 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
     independently, fiber points renormalized to the unit sphere).
     """
     _check_step(h)
-    g2 = _g2_or_default(g2)
+    g2 = flat_g2(g2)
     base_v = lift.sphere_curve
     args = [W1, W2, W3, W4]
 
@@ -263,20 +208,7 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
 
     lhs = 0.0 + 0.0j
     for a in range(4):
-        rest = [args[b] for b in range(4) if b != a]
-        d = np.asarray(args[a].vertical)
-
-        def deriv(dr):
-            scale = np.abs(dr).max()
-            if scale == 0.0:
-                return 0.0 + 0.0j
-            step = h / scale
-            return (omega_at(step * dr, *rest) - omega_at(-step * dr, *rest)) / (2.0 * step)
-
-        if np.iscomplexobj(d):
-            val = deriv(d.real) + 1j * deriv(d.imag)
-        else:
-            val = deriv(d)
-        lhs += (-1) ** a * val
+        rest = args[:a] + args[a + 1:]
+        lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, *rest), args[a].vertical, h)
     rhs = 1j * integrate(lift.base, xi_eval(g2, base_v, *args))
     return lhs, complex(rhs)

@@ -170,18 +170,25 @@ def random_fourier_spec(rng: np.random.Generator, n: int, max_mode: int = 5) -> 
 SPEED_RATIO_FLOOR = 0.5
 
 
-def random_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
-                max_tries: int = 50) -> Loop7:
-    """Random smooth loop, rejecting samples below the immersion floor or the
-    speed-conditioning floor."""
+def random_fourier_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
+                        max_tries: int = 50) -> tuple[Loop7, FourierLoopSpec]:
+    """Random smooth loop and its spectrum, rejecting samples below the
+    immersion floor or the speed-conditioning floor."""
     for _ in range(max_tries):
+        spec = random_fourier_spec(rng, n, max_mode)
         try:
-            loop = loop_from_fourier(random_fourier_spec(rng, n, max_mode))
+            loop = loop_from_fourier(spec)
         except ImmersionViolation:
             continue
         if loop.speeds.min() / loop.speeds.mean() >= SPEED_RATIO_FLOOR:
-            return loop
+            return loop, spec
     raise ImmersionViolation("could not sample a well-conditioned immersed loop")
+
+
+def random_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
+                max_tries: int = 50) -> Loop7:
+    """Random smooth loop from random_fourier_loop, without its spectrum."""
+    return random_fourier_loop(rng, n, max_mode, max_tries)[0]
 
 
 def random_normal_field(rng: np.random.Generator, loop: Loop7,
@@ -312,10 +319,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         m_xi = abs(twistor.xi_tilde(lift, *Xs, g2=g2)) / xi_scale
 
         # d(3-form) = i * (4-form pairing) on split fields with random verticals
-        ws = []
-        for X, V in zip(Xs, Vs):
-            coef = np.einsum("ni,ni->n", V, lift.sphere_curve)
-            ws.append(twistor.SplitTangent(V - coef[:, None] * lift.sphere_curve, X))
+        ws = [twistor.SplitTangent(normal_project(base, V), X) for X, V in zip(Xs, Vs)]
         lhs, rhs = twistor.d_omega3_vs_xi(lift, *ws, h=config.h, g2=g2)
         m_dvs = abs(lhs - rhs) / max(abs(rhs), 1.0)
 
@@ -326,9 +330,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         # (3,0)-type identity and non-degeneracy probe of the 3-form
         splits = [twistor.lift_tangent(lift, X) for X in Xs[:3]]
         val = twistor.omega3_eval(lift, *splits, g2=g2)
-        v = lift.sphere_curve
-        JA = cross_field(g2, v, splits[0].horizontal
-                         - np.einsum("ni,ni->n", splits[0].horizontal, v)[:, None] * v)
+        JA = cross_field(g2, lift.sphere_curve, normal_project(base, splits[0].horizontal))
         rotated = twistor.omega3_eval(
             lift, twistor.SplitTangent(splits[0].vertical, JA), splits[1], splits[2], g2=g2)
         m_type = abs(rotated - 1j * val) / float(np.prod(scales[:3]))

@@ -9,6 +9,7 @@ import pytest
 from g2knot.cli import (format_form, format_vector, parse_form, parse_vector,
                         run, _extract_tolerance_flags)
 from g2knot.forms import AltForm
+from g2knot.verify import random_loop
 
 
 class TestVectorParsing:
@@ -122,6 +123,24 @@ class TestLoopCommands:
 
     def test_missing_input_is_usage_error(self, capsys):
         assert run(["loop", "reparam", "-i", "/nonexistent/loop.json"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[1,2]",
+        '{"samples": [[0,0,0,0,0,0,0]]}',
+        '{"fourier": {"cos": [[0,0,0,0,0,0,0]]}, "n": 32}',
+    ])
+    def test_malformed_loop_json_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["loop", "reparam", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gen_uses_the_suite_sampler(self, tmp_path):
+        path = tmp_path / "loop.json"
+        assert run(["loop", "gen", "--seed", "3", "--n", "256", "-o", str(path)]) == 0
+        expected = random_loop(np.random.default_rng(3), 256, 5).samples
+        assert np.array_equal(np.array(json.loads(path.read_text())["samples"]), expected)
 
 
 class TestVerifyCommand:

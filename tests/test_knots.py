@@ -4,7 +4,8 @@ chart brackets, and the Nijenhuis tensor with its explicit nonzero witness."""
 import numpy as np
 import pytest
 
-from g2knot.algebra import cross_field, standard_g2
+from g2knot.algebra import (cross_field, metric_from_three_form, standard_g2,
+                            standard_phi)
 from g2knot.errors import StepOutOfRange
 from g2knot.knots import (KnotChart, OMEGA_METRIC_SIGN, acs_apply,
                           chart_bracket, d_omega, d_omega_fd,
@@ -12,6 +13,7 @@ from g2knot.knots import (KnotChart, OMEGA_METRIC_SIGN, acs_apply,
 from g2knot.loops import (FourierLoopSpec, Loop7, circle_loop,
                           loop_from_fourier, normal_project, trig_interpolate,
                           unit_speed_reparam)
+from g2knot.twistor import lift_tangent, lknot_lift, omega3_eval
 
 N = 256
 
@@ -194,3 +196,29 @@ class TestNijenhuis:
         X = const_field(circle, 2)
         nij = nijenhuis(chart, X, 2.0 * X, 1e-4)
         assert np.abs(nij).max() < 1e-6
+
+
+class TestFlatGuard:
+    """The knot-space layers contract with the Euclidean metric, so they must
+    reject a structure whose metric is not the identity."""
+
+    def test_scaled_structure_rejected(self, circle):
+        scaled = metric_from_three_form(8.0 * standard_phi())  # metric 4 I
+        X = const_field(circle, 2)
+        lift = lknot_lift(circle)
+        split = lift_tangent(lift, X)
+        with pytest.raises(ValueError):
+            KnotChart(circle, scaled)
+        with pytest.raises(ValueError):
+            omega(circle, X, X, scaled)
+        with pytest.raises(ValueError):
+            omega3_eval(lift, split, split, split, g2=scaled)
+
+    @pytest.mark.parametrize("structure", [None, standard_g2()])
+    def test_standard_structure_accepted(self, circle, structure):
+        X = const_field(circle, 2)
+        lift = lknot_lift(circle)
+        split = lift_tangent(lift, X)
+        assert KnotChart(circle, structure).g2 is standard_g2()
+        assert abs(omega(circle, X, X, structure)) < 1e-12
+        assert abs(omega3_eval(lift, split, split, split, g2=structure)) < 1e-12

@@ -10,8 +10,8 @@ from g2knot.errors import ImmersionViolation
 from g2knot.loops import (FourierLoopSpec, Loop7, arclength_params,
                           circle_loop, integrate, loop_from_fourier,
                           loop_from_json, loop_to_json, normal_project,
-                          resample_field, spectral_derivative,
-                          trig_interpolate, unit_speed_reparam)
+                          spectral_derivative, trig_interpolate,
+                          unit_speed_reparam)
 
 
 def random_spec(rng, n=128, k_max=4):
@@ -98,13 +98,6 @@ class TestReparametrization:
         assert spread < 1e-8
         assert fixed.length == pytest.approx(loop.length, rel=1e-10)
 
-    def test_resample_field_roundtrip(self, rng):
-        spec = random_spec(rng, n=128)
-        loop = loop_from_fourier(spec)
-        field = random_spec(rng, n=128).evaluate(loop.params)
-        back = resample_field(loop, field, loop.params)
-        assert np.allclose(back, field, atol=1e-12)
-
 
 class TestNormalProjection:
     def test_projection_is_pointwise_orthogonal(self, rng):
@@ -119,14 +112,6 @@ class TestNormalProjection:
         field = rng.standard_normal((128, 7))
         once = normal_project(loop, field)
         assert np.allclose(normal_project(loop, once), once, atol=1e-12)
-
-    def test_projection_with_metric(self, rng):
-        loop = loop_from_fourier(random_spec(rng, n=128))
-        metric = np.diag(np.linspace(1.0, 2.0, 7))
-        field = rng.standard_normal((128, 7))
-        proj = normal_project(loop, field, metric)
-        dots = np.einsum("ni,ij,nj->n", proj, metric, loop.unit_tangent)
-        assert np.abs(dots).max() < 1e-12
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from g2knot.twistor import (LKnotLift, SplitTangent, cartan_check,
                             covariant_split, d_omega3_vs_xi, lift_tangent,
                             lift_tangent_fd, lknot_lift, omega3_eval, xi_eval,
                             xi_tilde)
+from g2knot.verify import random_loop, random_normal_field
 
 N = 512
 
@@ -83,6 +84,17 @@ class TestLift:
             scale = np.abs(X).max()
             assert np.abs(st.vertical - fd.vertical).max() < 1e-6 * scale
             assert np.allclose(st.horizontal, X)
+
+    def test_split_uses_pointwise_speed(self):
+        # suite_twistor's first draw at seed 410: a loop near the speed-ratio
+        # floor whose resampled base speed varies by about 2.5e-6, so dividing
+        # by the mean speed misses the finite-difference oracle by 2.7e-6
+        rng = np.random.default_rng(410)
+        lift = lknot_lift(random_loop(rng, 512, 5))
+        X = random_normal_field(rng, lift.base, 5)
+        st = lift_tangent(lift, X)
+        fd = lift_tangent_fd(lift, X)
+        assert np.abs(st.vertical - fd.vertical).max() < 1e-6 * np.abs(X).max()
 
     def test_vertical_is_fiber_tangent(self, fixture):
         _, lift, fields = fixture

@@ -262,9 +262,24 @@ def _cmd_verify(args, tolerances: dict) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _check_report(rep) -> None:
+    """Reject a report that lacks the fields the digest reads."""
+    if not isinstance(rep, dict):
+        raise ValueError("a report must be a JSON object or a list of objects")
+    if not (isinstance(rep.get("suite"), str) and isinstance(rep.get("pass"), bool)
+            and isinstance(rep.get("cases"), list)):
+        raise ValueError("a report needs a string 'suite', a boolean 'pass' and a list 'cases'")
+    for case in rep["cases"]:
+        if not (isinstance(case, dict) and isinstance(case.get("name"), str)
+                and isinstance(case.get("pass"), bool)):
+            raise ValueError("each report case needs a string 'name' and a boolean 'pass'")
+
+
 def _cmd_report(args) -> int:
     doc = json.loads(_read_input(args.input))
     reports = doc if isinstance(doc, list) else [doc]
+    for rep in reports:
+        _check_report(rep)
     for rep in reports:
         status = "PASS" if rep["pass"] else "FAIL"
         failing = [c["name"] for c in rep["cases"] if not c["pass"]]

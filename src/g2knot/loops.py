@@ -31,21 +31,50 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
+# Evaluation points per cos/sin table: a table holds at most
+# _ROW_BLOCK x (N//2 + 1) entries, however many points are asked for.
+_ROW_BLOCK = 256
+
+
+def _cos_sin_coeffs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients a_k, b_k (k = 0..N//2, along axis 0) of the real
+    trigonometric interpolant sum_k a_k cos(k t) + b_k sin(k t) of real
+    periodic samples. For even N the Nyquist mode is split evenly between
+    +-N/2, which halves its cosine and leaves no sine: the interpolant stays
+    real between the samples."""
+    n = values.shape[0]
+    spec = np.fft.rfft(values, axis=0) / n
+    a = 2.0 * spec.real
+    b = -2.0 * spec.imag
+    a[0] *= 0.5
+    b[0] = 0.0
+    if n % 2 == 0:
+        a[-1] *= 0.5
+        b[-1] = 0.0
+    return a, b
+
+
+def _trig_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k a[k, c] cos(k t) + b[k, c] sin(k t) at each t for every column c
+    of the (M, C) coefficients; one cos/sin table per block of rows."""
+    t = np.ravel(np.asarray(t, dtype=float))
+    k = np.arange(a.shape[0])
+    out = np.empty((t.size, a.shape[1]))
+    for start in range(0, t.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        angles = np.outer(t[rows], k)
+        out[rows] = np.cos(angles) @ a + np.sin(angles) @ b
+    return out
+
+
 def trig_interpolate(values: np.ndarray, t_new: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of periodic samples at t_new."""
-    n = values.shape[0]
-    spec = np.fft.fft(values, axis=0) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        # split the Nyquist mode symmetrically so the interpolant stays real
-        spec = np.concatenate([spec, spec[n // 2: n // 2 + 1]], axis=0)
-        spec[n // 2] *= 0.5
-        spec[-1] *= 0.5
-        k = np.concatenate([k, [-k[n // 2]]])
-        k[n // 2] = abs(k[n // 2])
-    phases = np.exp(1j * np.outer(t_new, k))
-    out = np.tensordot(phases, spec, axes=(1, 0))
-    return out.real if np.isrealobj(values) else out
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return trig_interpolate(values.real, t_new) + 1j * trig_interpolate(values.imag, t_new)
+    a, b = _cos_sin_coeffs(values.reshape(values.shape[0], -1))
+    out = _trig_eval(a, b, t_new)
+    return out.reshape(out.shape[:1] + values.shape[1:])
 
 
 class Loop7:
@@ -101,18 +130,11 @@ class FourierLoopSpec:
         return self.cos_coeffs.shape[0] - 1
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = np.arange(self.max_mode + 1)
-        c = np.cos(np.outer(t, k))
-        s = np.sin(np.outer(t, k))
-        return c @ self.cos_coeffs + s @ self.sin_coeffs
+        return _trig_eval(self.cos_coeffs, self.sin_coeffs, t)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = np.arange(self.max_mode + 1)
-        c = np.cos(np.outer(t, k)) * k
-        s = np.sin(np.outer(t, k)) * k
-        return c @ self.sin_coeffs - s @ self.cos_coeffs
+        k = np.arange(self.max_mode + 1)[:, None]
+        return _trig_eval(k * self.sin_coeffs, -k * self.cos_coeffs, t)
 
 
 def loop_from_fourier(spec: FourierLoopSpec) -> Loop7:
@@ -134,28 +156,22 @@ def arclength_params(loop: Loop7) -> np.ndarray:
     """Parameters t(s_j) at which arclength is uniform, via Newton on the
     spectrally integrated speed."""
     n = loop.n
-    speed_spec = np.fft.fft(loop.speeds) / n
-    mean_speed = speed_spec[0].real
-    k = np.fft.fftfreq(n, d=1.0 / n)
-
-    nonzero = k != 0
-    km = k[nonzero]
-    cm = speed_spec[nonzero]
-
-    def arclength(t):
-        # integral of speed from 0 to t of the trig interpolant
-        phases = np.exp(1j * np.outer(t, km)) - 1.0
-        return mean_speed * t + (phases @ (cm / (1j * km))).real
-
-    def speed_at(t):
-        return trig_interpolate(loop.speeds, np.atleast_1d(t))
+    a, b = _cos_sin_coeffs(loop.speeds)
+    # Column 0 is the speed, column 1 the periodic part of its antiderivative;
+    # a_0 t + sum_k b_k / k completes the arclength from t = 0. The k = 0
+    # entries drop out (b_0 = 0, sin 0 = 0), so any nonzero k serves there.
+    k = np.maximum(np.arange(a.shape[0]), 1)
+    cos_coeffs = np.stack([a, -b / k], axis=1)
+    sin_coeffs = np.stack([b, a / k], axis=1)
+    offset = np.sum(b / k)
 
     total = loop.length
     targets = total * np.arange(n) / n
     t = TWO_PI * np.arange(n) / n  # initial guess: uniform parameter
     for _ in range(60):
-        resid = arclength(t) - targets
-        t = t - resid / np.maximum(speed_at(t).ravel(), 1e-12)
+        speed, periodic = _trig_eval(cos_coeffs, sin_coeffs, t).T
+        resid = a[0] * t + periodic + offset - targets
+        t = t - resid / np.maximum(speed, 1e-12)
         if np.max(np.abs(resid)) < 1e-14 * max(total, 1.0):
             break
     return t

@@ -47,10 +47,16 @@ CONVERGENCE_SAMPLE_COUNTS = (64, 128, 256, 512)
 
 
 def _default_threads() -> int:
+    """Suite worker threads from G2KNOT_THREADS: 1 when unset, else a
+    positive integer."""
+    text = os.environ.get("G2KNOT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("G2KNOT_THREADS", "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        raise ValueError(f"G2KNOT_THREADS must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise ValueError(f"G2KNOT_THREADS must be at least 1, got {threads}")
+    return threads
 
 
 @dataclass

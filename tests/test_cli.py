@@ -166,6 +166,14 @@ class TestVerifyCommand:
     def test_config_validation_exit_two(self, capsys):
         assert run(["verify", "kahler", "--n", "8"]) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_thread_count_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("G2KNOT_THREADS", value)
+        assert run(["verify", "associative", "--n", "128", "--loops", "1",
+                    "--fields", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: G2KNOT_THREADS") and err.count("\n") == 1
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = run(["verify", "instanton", "--n", "128", "--loops", "2",
@@ -188,6 +196,18 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["report", "summarize", "-i", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[1]",
+        '{"suite": "x", "pass": true}',
+    ])
+    def test_report_missing_fields_is_usage_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["report", "summarize", "-i", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_two():

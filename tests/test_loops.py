@@ -2,6 +2,7 @@
 reparametrization, serialization, and validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from g2knot.loops import (FourierLoopSpec, Loop7, arclength_params,
                           loop_from_json, loop_to_json, normal_project,
                           spectral_derivative, trig_interpolate,
                           unit_speed_reparam)
+from g2knot.verify import random_loop
 
 
 def random_spec(rng, n=128, k_max=4):
@@ -20,6 +22,93 @@ def random_spec(rng, n=128, k_max=4):
     return FourierLoopSpec(rng.standard_normal((k_max + 1, 7)) * scale[:, None],
                            rng.standard_normal((k_max + 1, 7)) * scale[:, None],
                            n)
+
+
+def dense_interpolant(values, t):
+    """Reference interpolant: one complex exponential per FFT mode, with an
+    even N's Nyquist coefficient split evenly between +N/2 and -N/2."""
+    n = values.shape[0]
+    spec = np.fft.fft(values, axis=0) / n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        spec = np.concatenate([spec, spec[n // 2: n // 2 + 1]], axis=0)
+        spec[n // 2] *= 0.5
+        spec[-1] *= 0.5
+        k = np.concatenate([k, [n // 2]])
+    out = np.tensordot(np.exp(1j * np.outer(t, k)), spec, axes=(1, 0))
+    return out.real if np.isrealobj(values) else out
+
+
+def dense_arclength_params(loop):
+    """Reference Newton solve for uniform arclength on dense exponentials:
+    same initial guess, step cap and stopping rule as arclength_params."""
+    n = loop.n
+    spec = np.fft.fft(loop.speeds) / n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    km, cm = k[k != 0], spec[k != 0]
+    total = loop.length
+    targets = total * np.arange(n) / n
+    t = 2 * np.pi * np.arange(n) / n
+    for _ in range(60):
+        phases = np.exp(1j * np.outer(t, km)) - 1.0
+        resid = spec[0].real * t + (phases @ (cm / (1j * km))).real - targets
+        t = t - resid / np.maximum(dense_interpolant(loop.speeds, t), 1e-12)
+        if np.max(np.abs(resid)) < 1e-14 * max(total, 1.0):
+            break
+    return t
+
+
+class TestTrigEvaluator:
+    """The row-blocked cos/sin evaluator against dense exponentials."""
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_matches_dense_reference(self, rng, n):
+        values = rng.standard_normal((n, 7))  # white noise: every mode present
+        t = np.concatenate([2 * np.pi * np.arange(n) / n,
+                            rng.uniform(-np.pi, 3 * np.pi, 300)])
+        out = trig_interpolate(values, t)
+        assert out.shape == (t.size, 7) and np.isrealobj(out)
+        assert np.abs(out - dense_interpolant(values, t)).max() < 1e-12
+        assert np.abs(out[:n] - values).max() < 1e-12
+
+    def test_nyquist_mode_stays_real(self, rng):
+        n = 256
+        grid = 2 * np.pi * np.arange(n) / n
+        t = rng.uniform(0, 2 * np.pi, 300)
+        out = trig_interpolate(np.cos(n * grid / 2), t)
+        assert np.isrealobj(out)
+        assert np.abs(out - np.cos(n * t / 2)).max() < 1e-12
+        assert np.abs(out - dense_interpolant(np.cos(n * grid / 2), t)).max() < 1e-12
+        # complex samples split the same way: imaginary data stay imaginary
+        out = trig_interpolate(1j * np.cos(n * grid / 2), t)
+        assert np.abs(out - 1j * np.cos(n * t / 2)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_complex_input(self, rng, n):
+        values = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        t = rng.uniform(0, 2 * np.pi, 300)
+        out = trig_interpolate(values, t)
+        assert np.iscomplexobj(out) and out.shape == (300, 3)
+        assert np.abs(out - dense_interpolant(values, t)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_arclength_params_match_dense_newton(self, rng, n):
+        loop = loop_from_fourier(random_spec(rng, n=n))
+        t = arclength_params(loop)
+        ref = dense_arclength_params(loop)
+        assert np.abs(t - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_reparam_memory_is_bounded(self):
+        # Dense N x N exponentials at N = 2048 peak above 130 MB; with
+        # 256-row cos/sin tables the traced peak stays near 4 MB.
+        loop = random_loop(np.random.default_rng(2048), 2048, 5)
+        tracemalloc.start()
+        try:
+            unit_speed_reparam(loop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestSpectralCalculus:

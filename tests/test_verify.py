@@ -37,6 +37,18 @@ class TestConfig:
         cfg = VerifyConfig()
         assert cfg.tol("nijenhuis") == 1e-6
 
+    def test_threads_default_to_one_when_unset(self, monkeypatch):
+        monkeypatch.delenv("G2KNOT_THREADS", raising=False)
+        assert VerifyConfig().threads == 1
+        monkeypatch.setenv("G2KNOT_THREADS", "3")
+        assert VerifyConfig().threads == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_invalid_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("G2KNOT_THREADS", value)
+        with pytest.raises(ValueError, match="G2KNOT_THREADS"):
+            VerifyConfig()
+
     def test_sample_floor(self):
         with pytest.raises(ConfigError):
             VerifyConfig(n=8)

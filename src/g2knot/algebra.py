@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateForm, DegenerateSpan, NonUnitAxis
-from .forms import DIM, AltForm, basis_form, contract, hodge_star, multi_indices, wedge
+from .forms import DIM, AltForm, contract, hodge_star, multi_indices, wedge
 
 UNIT_AXIS_TOL = 1e-12
 FLAT_METRIC_TOL = 1e-12
@@ -115,16 +115,35 @@ def flat_g2(g2: G2Structure | None = None) -> G2Structure:
     return g2
 
 
+def _pairs(a, b) -> np.ndarray:
+    """Pointwise pair products a_i b_j of two fields, flattened to (..., 49).
+
+    Every field contraction with rho, rho* or the cross product multiplies
+    these by a (49, .) view of the cached tensor, so it runs as one matmul.
+    """
+    p = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    return p.reshape(p.shape[:-2] + (DIM * DIM,))
+
+
 def cross(g2: G2Structure, x, y) -> np.ndarray:
     """Vector product x ⋆ y = rho(x, y, ·)^sharp."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.einsum("ijk,i,j->k", g2.cross_tensor, x, y)
+    return cross_field(g2, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def cross_field(g2: G2Structure, X, Y) -> np.ndarray:
-    """Pointwise vector product for (N,7) arrays of vectors; complex-linear."""
-    return np.einsum("ijk,...i,...j->...k", g2.cross_tensor, X, Y)
+    """Pointwise vector product for (7,) or (N,7) arrays of vectors; complex-linear."""
+    return _pairs(X, Y) @ g2.cross_tensor.reshape(DIM * DIM, DIM)
+
+
+def rho_field(g2: G2Structure, A, B, C) -> np.ndarray:
+    """Pointwise rho(A, B, C) on (7,) or (N,7) argument arrays."""
+    return np.sum((_pairs(A, B) @ g2.rho_tensor.reshape(DIM * DIM, DIM)) * np.asarray(C), axis=-1)
+
+
+def rho_star_field(g2: G2Structure, A, B, C, D) -> np.ndarray:
+    """Pointwise rho*(A, B, C, D) on (7,) or (N,7) argument arrays."""
+    psi = g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)
+    return np.sum((_pairs(A, B) @ psi) * _pairs(C, D), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -166,12 +185,19 @@ def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
     return cross(g2, v, x - g2.inner(x, v) * v)
 
 
+def omega3_slot(g2: G2Structure, v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The pointwise matrix Omega_v(A, ., .) = rho(A, ., .) - i rho*(v, A, ., .),
+    of shape (..., 7, 7) for (..., 7) arrays v and A."""
+    A = np.asarray(A)
+    slot = (A @ g2.rho_tensor.reshape(DIM, DIM * DIM)
+            - 1j * (_pairs(v, A) @ g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)))
+    return slot.reshape(A.shape[:-1] + (DIM, DIM))
+
+
 def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
                      B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (N,7) argument arrays."""
-    re = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, C)
-    im = -np.einsum("ijkl,ni,nj,nk,nl->n", g2.rho_star_tensor, v, A, B, C)
-    return re + 1j * im
+    return np.einsum("...ij,...i,...j->...", omega3_slot(g2, v, A), B, C)
 
 
 class Su3VolumeForm:
@@ -201,13 +227,15 @@ def su3_volume_form(g2: G2Structure, v) -> Su3VolumeForm:
 
 
 def two_form_operator_matrix(g2: G2Structure) -> np.ndarray:
-    """Matrix of L(beta) = *(rho ∧ beta) on the 21 basis 2-forms."""
-    n = math.comb(DIM, 2)
-    mat = np.empty((n, n))
-    for col, idx in enumerate(multi_indices(2)):
-        image = hodge_star(wedge(g2.rho, basis_form(2, idx)), g2.metric, g2.vol_coeff)
-        mat[:, col] = image.coeffs
-    return mat
+    """Matrix of L(beta) = *(rho ∧ beta) on the 21 basis 2-forms.
+
+    L maps e^{kl} to psi_{ij}^{kl} e^{ij} with psi = *rho, so the matrix is
+    psi on increasing pairs (i<j), (k<l), its last two indices raised.
+    """
+    flat = np.array(multi_indices(2)) @ (DIM, 1)
+    raised = (g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)
+              @ np.kron(g2.metric_inv, g2.metric_inv))
+    return raised[np.ix_(flat, flat)]
 
 
 def two_form_decompose(g2: G2Structure, beta: AltForm) -> tuple[AltForm, AltForm]:
@@ -238,17 +266,12 @@ def hermitian_trace_vector(g2: G2Structure, beta: AltForm) -> np.ndarray:
     return 0.5 * np.einsum("kij,ij->k", g2.cross_tensor, beta.tensor())
 
 
-def skew_endomorphism(g2: G2Structure, beta: AltForm) -> np.ndarray:
-    """The endomorphism A with g(A x, y) = beta(x, y)."""
-    return g2.metric_inv @ beta.tensor()
-
-
 def lie_action_on_rho(g2: G2Structure, beta: AltForm) -> AltForm:
     """Action of the skew endomorphism of beta on rho as a Lie-algebra element.
 
     Vanishes exactly when beta lies in Lambda^2_14 (the g2 subalgebra).
     """
-    A = skew_endomorphism(g2, beta)
+    A = g2.metric_inv @ beta.tensor()  # g(A x, y) = beta(x, y)
     t = g2.rho_tensor
     acted = (np.einsum("il,ljk->ijk", A, t)
              + np.einsum("jl,ilk->ijk", A, t)
@@ -276,7 +299,7 @@ def is_associative(g2: G2Structure, u, v, w, tol: float = 1e-8) -> tuple[bool, f
             a = a - g2.inner(a, e) * e
         ortho.append(a / g2.vnorm(a))
     u1, v1, w1 = ortho
-    calibration = float(np.einsum("ijk,i,j,k->", g2.rho_tensor, u1, v1, w1))
+    calibration = float(rho_field(g2, u1, v1, w1))
     p = cross(g2, u1, v1)
     residual = p - sum(g2.inner(p, e) * e for e in ortho)
     flag = g2.vnorm(residual) < tol

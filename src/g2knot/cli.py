@@ -32,7 +32,7 @@ def parse_vector(text: str) -> np.ndarray:
         parts = [float(p) for p in text.split(",")]
         if len(parts) != 7:
             raise ValueError(f"expected 7 components, got {len(parts)}")
-        return np.asarray(parts)
+        return _finite(np.asarray(parts), text)
     vec = np.zeros(7)
     pos = 0
     matched = False
@@ -51,7 +51,14 @@ def parse_vector(text: str) -> np.ndarray:
         matched = True
     if not matched or text[pos:].strip():
         raise ValueError(f"could not parse vector {text!r}")
-    return vec
+    return _finite(vec, text)
+
+
+def _finite(value, text: str):
+    """Pass a parsed number or vector through; reject inf and nan."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return value
 
 
 def format_vector(vec: np.ndarray, tol: float = 1e-12) -> str:
@@ -207,8 +214,9 @@ def _cmd_algebra(args) -> int:
         out = cross(g2, parse_vector(args.x), parse_vector(args.y))
         print(format_vector(out))
     elif args.algebra_command == "octonion":
-        prod = octonion_mul(Octonion(parse_vector(args.x), args.xr),
-                            Octonion(parse_vector(args.y), args.yr), g2)
+        xr, yr = _finite(args.xr, f"--xr {args.xr}"), _finite(args.yr, f"--yr {args.yr}")
+        prod = octonion_mul(Octonion(parse_vector(args.x), xr),
+                            Octonion(parse_vector(args.y), yr), g2)
         print(f"imag: {format_vector(prod.imag)}")
         print(f"real: {prod.real:.12g}")
     elif args.algebra_command == "decompose":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, cross_field, flat_g2
+from .algebra import G2Structure, cross_field, flat_g2, rho_field
 from .errors import StepOutOfRange
 from .loops import Loop7, integrate, normal_project, spectral_derivative
 
@@ -34,9 +34,7 @@ def omega(loop: Loop7, X: np.ndarray, Y: np.ndarray, g2: G2Structure | None = No
     As a line integral of rho this is invariant under reparametrization, so
     no unit-speed normalization is needed.
     """
-    vals = np.einsum("ijk,...i,...j,...k->...", flat_g2(g2).rho_tensor,
-                     np.asarray(X), np.asarray(Y), loop.velocity)
-    return integrate(loop, vals)
+    return integrate(loop, rho_field(flat_g2(g2), X, Y, loop.velocity))
 
 
 def hermitian_metric(loop: Loop7, X: np.ndarray, Y: np.ndarray,
@@ -145,14 +143,10 @@ def d_omega(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> fl
     """Exterior derivative of omega on chart-constant fields, via the exact
     linearity of u -> omega_{base+u}: X·omega(Y,Z) = ∫ rho(Y, Z, X') dt.
     """
-    rho_t = chart.g2.rho_tensor
-    base = chart.base
-
     def term(A, B, C):
         dC = spectral_derivative(np.asarray(C, dtype=float))
-        vals = np.einsum("ijk,ni,nj,nk->n", rho_t, np.asarray(A, dtype=float),
-                         np.asarray(B, dtype=float), dC)
-        return integrate(base, vals)
+        return integrate(chart.base, rho_field(chart.g2, np.asarray(A, dtype=float),
+                                               np.asarray(B, dtype=float), dC))
 
     return term(Y, Z, X) - term(X, Z, Y) + term(X, Y, Z)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, flat_g2, omega3_integrand
+from .algebra import G2Structure, flat_g2, omega3_integrand, rho_star_field
 from .knots import KnotChart, _centered, _check_step, chart_bracket
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
@@ -128,17 +128,11 @@ def xi_eval(g2: G2Structure, v: np.ndarray, W1: SplitTangent, W2: SplitTangent,
     values; vanishes whenever two or more arguments are purely vertical or
     all four are horizontal.
     """
-    rhos = g2.rho_star_tensor
     args = [W1, W2, W3, W4]
     vals = 0.0  # stays real unless some argument is complex
     for a in range(4):
-        others = [args[b] for b in range(4) if b != a]
-        q = -np.einsum("ijkl,ni->njkl", rhos, np.asarray(args[a].vertical))
-        term = np.einsum("njkl,nj,nk,nl->n", q,
-                         np.asarray(others[0].horizontal),
-                         np.asarray(others[1].horizontal),
-                         np.asarray(others[2].horizontal))
-        vals = vals + (-1) ** a * term
+        b, c, d = (args[k].horizontal for k in range(4) if k != a)
+        vals = vals - (-1) ** a * rho_star_field(g2, args[a].vertical, b, c, d)
     return vals
 
 

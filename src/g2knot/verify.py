@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knots, twistor
-from .algebra import (G2Structure, cross_field, is_associative, standard_g2,
-                      two_form_decompose)
+from .algebra import (G2Structure, cross_field, is_associative, omega3_slot,
+                      standard_g2, two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
 from .instanton import (CurvatureSample, INSTANTON_TOL, LIFTED_TOL,
                         is_g2_instanton, lifted_curvature_type_residual)
 from .knots import H_MIN, H_MAX, KnotChart
-from .loops import (FourierLoopSpec, Loop7, MIN_SAMPLES, loop_from_fourier,
-                    normal_project)
+from .loops import (FourierLoopSpec, Loop7, MIN_SAMPLES, integrate,
+                    loop_from_fourier, normal_project)
 
 DEFAULT_TOLERANCES = {
     "d_omega_exact": 1e-10,
@@ -293,6 +293,21 @@ def _type_10_field(loop: Loop7, X: np.ndarray, g2: G2Structure) -> np.ndarray:
     return 0.5 * (X - 1j * knots.acs_apply(loop, X, g2))
 
 
+def _nondegeneracy_table(lift: twistor.LKnotLift, X: np.ndarray,
+                         g2: G2Structure) -> tuple[np.ndarray, np.ndarray]:
+    """The complex 3-form on the (1,0)-part A of X and the (1,0)-parts F_j of
+    the seven projected constant basis fields: table[j, k] = Omega(A, F_j, F_k),
+    with the scale max|A| max|F_j| max|F_k| (each F factor floored at 1e-12)."""
+    base = lift.base
+    A = _type_10_field(base, X, g2)
+    # F[n, j] = F_j(t_n), so F[n] @ slot[n] @ F[n].T holds all pairs at t_n
+    F = np.stack([_type_10_field(base, normal_project(base, np.tile(e, (base.n, 1))), g2)
+                  for e in np.eye(7)], axis=1)
+    table = integrate(base, F @ omega3_slot(g2, lift.sphere_curve, A) @ F.transpose(0, 2, 1))
+    norms = np.maximum(np.abs(F).max(axis=(0, 2)), 1e-12)
+    return table, np.abs(A).max() * norms[:, None] * norms[None, :]
+
+
 def suite_twistor(config: VerifyConfig) -> SuiteReport:
     """Lift splitting against its finite-difference oracle, vanishing of the
     4-form pairing on tangent-lifted knots, the exterior-derivative identity,
@@ -341,19 +356,9 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
             lift, twistor.SplitTangent(splits[0].vertical, JA), splits[1], splits[2], g2=g2)
         m_type = abs(rotated - 1j * val) / float(np.prod(scales[:3]))
 
-        A10 = _type_10_field(base, Xs[0], g2)
-        best = 0.0
-        for j in range(7):
-            for k in range(j + 1, 7):
-                B = _type_10_field(base, normal_project(base, np.tile(np.eye(7)[j], (base.n, 1))), g2)
-                C = _type_10_field(base, normal_project(base, np.tile(np.eye(7)[k], (base.n, 1))), g2)
-                sb = twistor.SplitTangent(np.zeros_like(B), B)
-                sc = twistor.SplitTangent(np.zeros_like(C), C)
-                sa = twistor.SplitTangent(np.zeros_like(A10), A10)
-                denom = np.abs(A10).max() * max(np.abs(B).max(), 1e-12) * max(np.abs(C).max(), 1e-12)
-                if denom < 1e-10:
-                    continue
-                best = max(best, abs(twistor.omega3_eval(lift, sa, sb, sc, g2=g2)) / denom)
+        table, denom = _nondegeneracy_table(lift, Xs[0], g2)
+        upper = np.triu(denom >= 1e-10, k=1)
+        best = float((np.abs(table[upper]) / denom[upper]).max(initial=0.0))
         return m_lift, m_xi, m_dvs, m_cartan, m_type, best
 
     results = _parallel_map(config, eval_loop, items)

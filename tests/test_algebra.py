@@ -5,14 +5,19 @@ decomposition of 2-forms with its three characterizations."""
 import numpy as np
 import pytest
 
-from g2knot.algebra import (G2Structure, Octonion, cross,
+from g2knot import knots, twistor
+from g2knot.algebra import (G2Structure, Octonion, cross, cross_field,
                             complex_structure_apply, hermitian_trace_vector,
                             is_associative, lie_action_on_rho,
-                            metric_from_three_form, octonion_mul, standard_g2,
-                            standard_phi, su3_volume_form, two_form_decompose,
+                            metric_from_three_form, octonion_mul,
+                            omega3_integrand, standard_g2, standard_phi,
+                            su3_volume_form, two_form_decompose,
                             two_form_operator_matrix)
 from g2knot.errors import DegenerateForm, DegenerateSpan, NonUnitAxis
-from g2knot.forms import AltForm, basis_form, contract
+from g2knot.forms import (AltForm, basis_form, contract, hodge_star,
+                          multi_indices, wedge)
+from g2knot.loops import integrate, spectral_derivative
+from g2knot.verify import random_loop
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +200,99 @@ class TestTwoFormDecomposition:
         x = rng.standard_normal(7)
         tau = hermitian_trace_vector(g2, contract(g2.rho, x))
         assert np.allclose(tau, 3.0 * x, atol=1e-12 * max(1.0, np.abs(x).max()))
+
+
+def wedge_hodge_operator(g2):
+    """L = *(rho ∧ .) built column by column from wedge and Hodge star: the
+    route independent of the psi slice in two_form_operator_matrix."""
+    mat = np.empty((21, 21))
+    for col, idx in enumerate(multi_indices(2)):
+        image = hodge_star(wedge(g2.rho, basis_form(2, idx)), g2.metric, g2.vol_coeff)
+        mat[:, col] = image.coeffs
+    return mat
+
+
+def pulled_back_phi(M):
+    """The standard 3-form pulled back by the linear map M."""
+    t = np.einsum("abc,ai,bj,ck->ijk", standard_phi().tensor(), M, M, M)
+    return AltForm(3, np.array([t[idx] for idx in multi_indices(3)]))
+
+
+class TestOperatorRoutes:
+    @pytest.mark.parametrize("rho", [
+        standard_phi(),
+        8.0 * standard_phi(),
+        pulled_back_phi(np.eye(7) + 0.1 * np.random.default_rng(0).standard_normal((7, 7))),
+    ], ids=["standard", "scaled", "pulled_back"])
+    def test_psi_slice_matches_wedge_hodge(self, rho):
+        g2 = metric_from_three_form(rho)
+        ref = wedge_hodge_operator(g2)
+        assert np.abs(two_form_operator_matrix(g2) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def assert_rel(got, ref, tol=1e-13):
+    assert np.shape(got) == np.shape(ref)
+    assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+class TestKernelReference:
+    """The pair-product kernels against the single einsum over the dense G2
+    tensor that each of them replaced."""
+
+    N = 257
+
+    @pytest.fixture(params=[False, True], ids=["real", "complex"])
+    def draw(self, request):
+        rng = np.random.default_rng(2024)
+
+        def field(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if request.param else x
+        return field
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        return random_loop(np.random.default_rng(5), self.N, 5)
+
+    def test_cross_field(self, g2, draw):
+        for shape in [(7,), (self.N, 7)]:
+            X, Y = draw(*shape), draw(*shape)
+            assert_rel(cross_field(g2, X, Y),
+                       np.einsum("ijk,...i,...j->...k", g2.cross_tensor, X, Y))
+
+    def test_omega3_integrand(self, g2, draw, loop):
+        v = loop.unit_tangent
+        A, B, C = (draw(self.N, 7) for _ in range(3))
+        re = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, C)
+        im = -np.einsum("ijkl,ni,nj,nk,nl->n", g2.rho_star_tensor, v, A, B, C)
+        assert_rel(omega3_integrand(g2, v, A, B, C), re + 1j * im)
+
+    def test_omega(self, g2, draw, loop):
+        for shape in [(7,), (self.N, 7)]:
+            # a constant X broadcasts along the loop; with Y constant too omega is 0
+            X, Y = draw(*shape), draw(self.N, 7)
+            vals = np.einsum("ijk,...i,...j,...k->...", g2.rho_tensor, X, Y, loop.velocity)
+            assert_rel(knots.omega(loop, X, Y, g2), integrate(loop, vals))
+
+    def test_d_omega(self, g2, loop):
+        rng = np.random.default_rng(9)
+        X, Y, Z = (rng.standard_normal((self.N, 7)) for _ in range(3))
+
+        def term(A, B, C):
+            vals = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, spectral_derivative(C))
+            return integrate(loop, vals)
+        ref = term(Y, Z, X) - term(X, Z, Y) + term(X, Y, Z)
+        got = knots.d_omega(knots.KnotChart(loop, g2), X, Y, Z)
+        assert abs(got - ref) <= 1e-13 * max(abs(term(Y, Z, X)), abs(term(X, Y, Z)))
+
+    def test_xi_eval(self, g2, draw, loop):
+        args = [twistor.SplitTangent(draw(self.N, 7), draw(self.N, 7)) for _ in range(4)]
+        ref = 0.0
+        for a in range(4):
+            others = [args[b] for b in range(4) if b != a]
+            q = -np.einsum("ijkl,ni->njkl", g2.rho_star_tensor, args[a].vertical)
+            ref = ref + (-1) ** a * np.einsum("njkl,nj,nk,nl->n", q, *(o.horizontal for o in others))
+        assert_rel(twistor.xi_eval(g2, loop.unit_tangent, *args), ref)
 
 
 class TestAssociativePlanes:

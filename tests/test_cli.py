@@ -103,6 +103,17 @@ class TestAlgebraCommands:
         out = capsys.readouterr().out
         assert "associative: True" in out and "calibration: 1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["cross", "--x", "inf,0,0,0,0,0,0", "--y", "e2"],
+        ["associative", "--u", "nan,0,0,0,0,0,0", "--v", "e2", "--w", "e3"],
+        ["octonion", "--x", "e1", "--xr", "nan", "--y", "e2"],
+    ])
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        assert run(["algebra"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestLoopCommands:
     def test_gen_and_reparam(self, tmp_path, capsys):

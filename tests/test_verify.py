@@ -4,15 +4,21 @@ report schema, convergence tables, and suite outcomes at reduced scale."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from g2knot import twistor
+from g2knot.algebra import standard_g2
 from g2knot.errors import ConfigError
-from g2knot.verify import (SuiteReport, VerifyConfig, random_loop,
-                           random_normal_field, reports_to_json, run_suites,
-                           suite_associative, suite_instanton, suite_kahler,
-                           suite_twistor)
+from g2knot.loops import normal_project
+from g2knot.verify import (SuiteReport, VerifyConfig, _nondegeneracy_table,
+                           _type_10_field, random_loop, random_normal_field,
+                           reports_to_json, run_suites, suite_associative,
+                           suite_instanton, suite_kahler, suite_twistor)
 
 SMALL = dict(loops=3, fields=2, n=256, instanton_samples=9)
 
@@ -117,6 +123,39 @@ class TestDeterminism:
         a = suite_twistor(VerifyConfig(**small)).to_json()
         b = suite_twistor(VerifyConfig(**small, threads=4)).to_json()
         assert a == b
+
+    def test_blas_threads_do_not_change_results(self, tmp_path):
+        # the G2 field kernels run through BLAS matrix products
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "g2knot.cli", "verify", "twistor",
+                            "--loops", "1", "--n", "128", "--seed", "7", "-o", str(out)],
+                           env=env, capture_output=True, timeout=300)
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestNondegeneracyProbe:
+    def test_table_matches_per_pair_evaluation(self):
+        g2 = standard_g2()
+        rng = np.random.default_rng(31)
+        lift = twistor.lknot_lift(random_loop(rng, 256, 5))
+        X = random_normal_field(rng, lift.base, 5)
+        table, denom = _nondegeneracy_table(lift, X, g2)
+        A = _type_10_field(lift.base, X, g2)
+        F = [_type_10_field(lift.base, normal_project(lift.base, np.tile(e, (256, 1))), g2)
+             for e in np.eye(7)]
+        ref = np.zeros((7, 7), dtype=complex)
+        for j in range(7):
+            for k in range(j + 1, 7):
+                split = [twistor.SplitTangent(np.zeros_like(W), W) for W in (A, F[j], F[k])]
+                ref[j, k] = twistor.omega3_eval(lift, *split, g2=g2)
+                assert denom[j, k] == np.abs(A).max() * np.abs(F[j]).max() * np.abs(F[k]).max()
+        upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
+        assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestKahlerSuite:

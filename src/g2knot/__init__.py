@@ -8,7 +8,7 @@ from .algebra import (G2Structure, Octonion, Su3VolumeForm, cross, cross_field,
                       complex_structure_apply, hermitian_trace_vector,
                       is_associative, lie_action_on_rho, metric_from_three_form,
                       octonion_mul, standard_g2,
-                      standard_phi, su3_volume_form, two_form_decompose,
+                      standard_phi, two_form_decompose,
                       two_form_operator_matrix)
 from .errors import (ConfigError, DegenerateForm, DegenerateSpan, G2KnotError,
                      ImmersionViolation, NonUnitAxis, StepOutOfRange,

@@ -221,11 +221,6 @@ class Su3VolumeForm:
         return complex(omega3_integrand(self.g2, self.v[None], a, b, c)[0])
 
 
-def su3_volume_form(g2: G2Structure, v) -> Su3VolumeForm:
-    """Holomorphic volume form on v^perp; see Su3VolumeForm."""
-    return Su3VolumeForm(g2, v)
-
-
 def two_form_operator_matrix(g2: G2Structure) -> np.ndarray:
     """Matrix of L(beta) = *(rho ∧ beta) on the 21 basis 2-forms.
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,28 +112,7 @@ def format_form(form: AltForm, tol: float = 1e-12) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _extract_tolerance_flags(argv: list[str]) -> tuple[list[str], dict]:
-    """Pull '--tol-<name> <value>' pairs out of argv before argparse runs."""
-    rest = []
-    tols = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol-"):
-            if "=" in arg:
-                flag, value = arg.split("=", 1)
-            else:
-                if i + 1 >= len(argv):
-                    raise ValueError(f"{arg} needs a value")
-                flag, value = arg, argv[i + 1]
-                i += 1
-            tols[flag[len("--tol-"):].replace("-", "_")] = float(value)
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
-
-
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2knot",
@@ -185,6 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="instanton battery sample count")
     ver.add_argument("-o", "--out", default=None)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
+    for key, default in verify.DEFAULT_TOLERANCES.items():
+        # --tol-d-omega-fd and --tol-d_omega_fd; a key without "_" has one spelling
+        flags = dict.fromkeys([f"--tol-{key.replace('_', '-')}", f"--tol-{key}"])
+        ver.add_argument(*flags, dest=f"tol_{key}", type=float, metavar="TOL",
+                         help=f"default {default:g}")
 
     rep = sub.add_parser("report", help="report utilities")
     rep_sub = rep.add_subparsers(dest="report_command", required=True)
@@ -249,19 +234,21 @@ def _cmd_loop(args) -> int:
     return 0
 
 
-def _cmd_verify(args, tolerances: dict) -> int:
+def _cmd_verify(args) -> int:
+    tolerances = {key: value for key in verify.DEFAULT_TOLERANCES
+                  if (value := getattr(args, f"tol_{key}")) is not None}
     config = verify.VerifyConfig(
         seed=args.seed, n=args.n, h=args.h, loops=args.loops,
         fields=args.fields, instanton_samples=args.ensemble,
         tolerances=tolerances)
-    reports = verify.run_suites([args.suites], config)
+    reports = verify.run_suites(args.suites, config)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(f"suite {report.suite}: {status}")
         for case in report.cases:
             mark = "skip" if case["skipped"] else ("pass" if case["pass"] else "FAIL")
             print(f"  [{mark}] {case['name']}: residual {case['residual']:.3e}"
-                  f" (tolerance {case['tolerance']:.1e})")
+                  f" (tolerance {case['tolerance']:.3g})")
     if args.out is not None:
         if args.format == "json":
             _write_output(args.out, verify.reports_to_json(reports))
@@ -299,13 +286,7 @@ def _cmd_report(args) -> int:
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv, tolerances = _extract_tolerance_flags(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -314,7 +295,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "loop":
             return _cmd_loop(args)
         if args.command == "verify":
-            return _cmd_verify(args, tolerances)
+            return _cmd_verify(args)
         if args.command == "report":
             return _cmd_report(args)
     except (G2KnotError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -11,6 +11,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -125,10 +126,6 @@ class SuiteReport:
             "inputs": inputs,
         })
 
-    def worst(self, prefix: str) -> float:
-        vals = [c["residual"] for c in self.cases if c["name"].startswith(prefix)]
-        return max(vals) if vals else float("nan")
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -148,17 +145,6 @@ class SuiteReport:
         for row in self.convergence:
             writer.writerow(row)
         return buf.getvalue()
-
-
-def _meta(config: VerifyConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "n": config.n,
-        "h": config.h,
-        "loops": config.loops,
-        "fields": config.fields,
-        "max_mode": config.max_mode,
-    }
 
 
 def random_fourier_spec(rng: np.random.Generator, n: int, max_mode: int = 5) -> FourierLoopSpec:
@@ -204,22 +190,44 @@ def random_normal_field(rng: np.random.Generator, loop: Loop7,
     return normal_project(loop, spec.evaluate(loop.params))
 
 
-def _parallel_map(config: VerifyConfig, worker, items):
-    """Map a pure worker over pre-drawn items, in threads when configured."""
+def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
+         digest: str, skip: tuple[str, str] | None = None) -> SuiteReport:
+    """Evaluate pre-drawn items, in G2KNOT_THREADS threads when configured,
+    and record one case per row of `cases`.
+
+    evaluate(g2, item) returns a dict of metrics keyed by case name, or None
+    for a skipped item. A row is (case, tolerance key or fixed bound,
+    reduction over the evaluated items' metric, floor); a floor case passes
+    above its bound, any other below. skip = (case, meta key) records how many
+    items were skipped.
+    """
+    g2 = standard_g2()
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            return list(ex.map(worker, items))
-    return [worker(item) for item in items]
+            results = list(ex.map(lambda item: evaluate(g2, item), items))
+    else:
+        results = [evaluate(g2, item) for item in items]
+    done = [r for r in results if r is not None]
+    meta = {key: getattr(config, key)
+            for key in ("seed", "n", "h", "loops", "fields", "max_mode")}
+    report = SuiteReport(suite=suite, meta=meta)
+    for name, bound, reduce, floor in cases:
+        value = reduce([r[name] for r in done])
+        tol = config.tol(bound) if isinstance(bound, str) else bound
+        report.add_case(name, value, tol, digest, passed=value > tol if floor else None)
+    if skip is not None:
+        skipped = len(results) - len(done)
+        if skipped:
+            report.add_case(skip[0], float(skipped), float("inf"), digest,
+                            skipped=True, passed=True)
+        report.meta[skip[1]] = skipped
+    return report
 
 
 def suite_kahler(config: VerifyConfig) -> SuiteReport:
     """Closedness of the 2-form, metric/2-form/complex-structure compatibility,
     and the Nijenhuis residual of the knot-space almost complex structure."""
-    g2 = standard_g2()
     rng = config.rng()
-    report = SuiteReport(suite="kahler", meta=_meta(config))
-    tol = config.tol
-
     items = []
     for _ in range(config.loops):
         loop = random_loop(rng, config.n, config.max_mode)
@@ -227,7 +235,7 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
                          for _ in range(3)) for _ in range(config.fields)]
         items.append((loop, triples))
 
-    def eval_loop(item):
+    def evaluate(g2, item):
         loop, triples = item
         chart = KnotChart(loop, g2)
         m_exact = m_fd = m_compat = m_nij = 0.0
@@ -247,19 +255,14 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
             if fi < 2:  # Nijenhuis is the costly case; two field pairs per loop
                 nij = knots.nijenhuis(chart, X, Y, config.h)
                 m_nij = max(m_nij, np.abs(nij).max() / (np.abs(X).max() * np.abs(Y).max()))
-        return m_exact, m_fd, m_compat, m_nij
+        return {"d_omega_exact": m_exact, "d_omega_fd": m_fd,
+                "compatibility": m_compat, "nijenhuis": m_nij}
 
-    results = _parallel_map(config, eval_loop, items)
-    max_exact = max(r[0] for r in results)
-    max_fd = max(r[1] for r in results)
-    max_compat = max(r[2] for r in results)
-    max_nijenhuis = max(r[3] for r in results)
-
-    digest = f"{config.loops} loops x {config.fields} fields, seed {config.seed}"
-    report.add_case("d_omega_exact", max_exact, tol("d_omega_exact"), digest)
-    report.add_case("d_omega_fd", max_fd, tol("d_omega_fd"), digest)
-    report.add_case("compatibility", max_compat, tol("compatibility"), digest)
-    report.add_case("nijenhuis", max_nijenhuis, tol("nijenhuis"), digest)
+    cases = [(name, name, max, False)
+             for name in ("d_omega_exact", "d_omega_fd", "compatibility", "nijenhuis")]
+    report = _run("kahler", config, items, evaluate, cases,
+                  f"{config.loops} loops x {config.fields} fields, seed {config.seed}")
+    g2 = standard_g2()
 
     # convergence of the finite-difference d(omega) route in N
     conv_rng = np.random.default_rng(config.seed + 1)
@@ -269,8 +272,7 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
         loop = loop_from_fourier(spec)
         chart = KnotChart(loop, g2)
         f_rng = np.random.default_rng(config.seed + 2)
-        fields = [normal_project(loop, random_fourier_spec(f_rng, n_val, config.max_mode)
-                                 .evaluate(loop.params)) for _ in range(3)]
+        fields = [random_normal_field(f_rng, loop, config.max_mode) for _ in range(3)]
         res = abs(knots.d_omega_fd(chart, *fields, config.h))
         report.convergence.append(
             {"study": "d_omega_fd_vs_n", "parameter": "n", "value": n_val, "residual": res})
@@ -312,11 +314,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
     """Lift splitting against its finite-difference oracle, vanishing of the
     4-form pairing on tangent-lifted knots, the exterior-derivative identity,
     the Cartan bracket pairing, and type/non-degeneracy of the complex 3-form."""
-    g2 = standard_g2()
     rng = config.rng()
-    report = SuiteReport(suite="twistor", meta=_meta(config))
-    tol = config.tol
-
     items = []
     for _ in range(config.loops):
         loop = random_loop(rng, config.n, config.max_mode)
@@ -325,7 +323,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         Vs = [random_normal_field(rng, lift.base, config.max_mode) for _ in range(4)]
         items.append((lift, Xs, Vs))
 
-    def eval_loop(item):
+    def evaluate(g2, item):
         lift, Xs, Vs = item
         base = lift.base
         scales = [np.abs(X).max() for X in Xs]
@@ -359,25 +357,14 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         table, denom = _nondegeneracy_table(lift, Xs[0], g2)
         upper = np.triu(denom >= 1e-10, k=1)
         best = float((np.abs(table[upper]) / denom[upper]).max(initial=0.0))
-        return m_lift, m_xi, m_dvs, m_cartan, m_type, best
+        return {"lift_oracle": m_lift, "xi_tilde": m_xi, "d_omega3_vs_xi": m_dvs,
+                "cartan": m_cartan, "type30": m_type, "nondegeneracy": best}
 
-    results = _parallel_map(config, eval_loop, items)
-    max_lift = max(r[0] for r in results)
-    max_xi = max(r[1] for r in results)
-    max_dvs = max(r[2] for r in results)
-    max_cartan = max(r[3] for r in results)
-    max_type = max(r[4] for r in results)
-    min_nondeg = min(r[5] for r in results)
-
-    digest = f"{config.loops} loops, seed {config.seed}"
-    report.add_case("lift_oracle", max_lift, tol("lift_oracle"), digest)
-    report.add_case("xi_tilde", max_xi, tol("xi_tilde"), digest)
-    report.add_case("d_omega3_vs_xi", max_dvs, tol("d_omega3_vs_xi"), digest)
-    report.add_case("cartan", max_cartan, tol("cartan"), digest)
-    report.add_case("type30", max_type, tol("type30"), digest)
-    report.add_case("nondegeneracy", min_nondeg, tol("nondegeneracy_floor"), digest,
-                    passed=min_nondeg > tol("nondegeneracy_floor"))
-    return report
+    cases = [(name, name, max, False)
+             for name in ("lift_oracle", "xi_tilde", "d_omega3_vs_xi", "cartan", "type30")]
+    cases.append(("nondegeneracy", "nondegeneracy_floor", min, True))
+    return _run("twistor", config, items, evaluate, cases,
+                f"{config.loops} loops, seed {config.seed}")
 
 
 def _family_calibrations(g2: G2Structure, loop: Loop7, X: np.ndarray,
@@ -400,84 +387,70 @@ def suite_associative(config: VerifyConfig) -> SuiteReport:
     """Associativity of the planes spanned by a normal field, its rotation by
     the complex structure, and the knot tangent, along flowed families; control
     families with an unrelated second field must lose calibration."""
-    g2 = standard_g2()
     rng = config.rng()
-    report = SuiteReport(suite="associative", meta=_meta(config))
-    tol = config.tol
     steps = np.linspace(-0.1, 0.1, 5)
-
-    max_dev = 0.0
-    min_control = 1.0
-    skipped = 0
     n_families = max(4, config.loops // 2)
+    items = []
     for _ in range(n_families):
         loop = random_loop(rng, config.n, config.max_mode)
         X = random_normal_field(rng, loop, config.max_mode)
-        if np.abs(X).max() < 1e-12:
-            skipped += 1
-            continue
-        Y = random_normal_field(rng, loop, config.max_mode)
-        try:
-            complex_partner = lambda lp, xn: cross_field(g2, lp.unit_tangent, xn)
-            calib = _family_calibrations(g2, loop, X, complex_partner, steps)
-            max_dev = max(max_dev, float(np.abs(calib - 1.0).max()))
-            control_partner = lambda lp, xn: normal_project(lp, Y)
-            control = _family_calibrations(g2, loop, X, control_partner, steps)
-            min_control = min(min_control, float(np.abs(control).min()))
-        except ImmersionViolation:
-            skipped += 1
-            continue
+        # a vanishing field spans no plane: its family is skipped before the control draw
+        Y = None if np.abs(X).max() < 1e-12 else random_normal_field(rng, loop, config.max_mode)
+        items.append((loop, X, Y))
 
-    digest = f"{n_families} families, seed {config.seed}"
-    report.add_case("calibration", max_dev, tol("calibration"), digest)
-    report.add_case("control", min_control, tol("control_ceiling"), digest,
-                    passed=min_control < tol("control_ceiling"))
-    if skipped:
-        report.add_case("skipped_families", float(skipped), float("inf"),
-                        digest, skipped=True, passed=True)
-    report.meta["skipped_families"] = skipped
-    return report
+    def evaluate(g2, item):
+        loop, X, Y = item
+        if Y is None:
+            return None
+        try:
+            calib = _family_calibrations(
+                g2, loop, X, lambda lp, xn: cross_field(g2, lp.unit_tangent, xn), steps)
+            control = _family_calibrations(
+                g2, loop, X, lambda lp, xn: normal_project(lp, Y), steps)
+        except ImmersionViolation:
+            return None
+        return {"calibration": float(np.abs(calib - 1.0).max()),
+                "control": float(np.abs(control).min())}
+
+    cases = [("calibration", "calibration", partial(max, default=0.0), False),
+             ("control", "control_ceiling", partial(min, default=1.0), False)]
+    return _run("associative", config, items, evaluate, cases,
+                f"{n_families} families, seed {config.seed}",
+                skip=("skipped_families", "skipped_families"))
 
 
 def suite_instanton(config: VerifyConfig) -> SuiteReport:
     """Equivalence of the algebraic instanton flag with the vanishing of the
     lifted curvature trace along a loop ensemble."""
-    g2 = standard_g2()
     rng = config.rng()
-    report = SuiteReport(suite="instanton", meta=_meta(config))
-    tol = config.tol
-
     loops = [random_loop(rng, config.n, config.max_mode)
              for _ in range(min(config.loops, 10))]
+    betas = [rng.standard_normal(21) for _ in range(config.instanton_samples)]
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
     weights = [0.0, 1e-3, 1.0]
-    mismatches = 0
-    zero_cases = 0
-    for i in range(config.instanton_samples):
-        beta = AltForm(2, rng.standard_normal(21))
-        beta7, beta14 = two_form_decompose(g2, beta)
+
+    def evaluate(g2, item):
+        i, coeffs = item
+        beta7, beta14 = two_form_decompose(g2, AltForm(2, coeffs))
         w = weights[i % len(weights)]
-        form = AltForm(2, beta14.coeffs + w * beta7.coeffs)
-        sample = CurvatureSample(form, generator)
+        sample = CurvatureSample(AltForm(2, beta14.coeffs + w * beta7.coeffs), generator)
         try:
-            flag, _ = is_g2_instanton(g2, sample, tol("instanton"))
+            flag, _ = is_g2_instanton(g2, sample, config.tol("instanton"))
             lifted = lifted_curvature_type_residual(g2, sample, loops)
         except ZeroCurvature:
-            zero_cases += 1
-            continue
-        if flag != (lifted < tol("lifted_instanton")):
-            mismatches += 1
-    digest = f"{config.instanton_samples} samples, weights {weights}, seed {config.seed}"
-    report.add_case("equivalence_mismatches", float(mismatches), 1.0, digest)
+            return None
+        mismatch = flag != (lifted < config.tol("lifted_instanton"))
+        return {"equivalence_mismatches": float(mismatch)}
 
+    digest = f"{config.instanton_samples} samples, weights {weights}, seed {config.seed}"
+    report = _run("instanton", config, list(enumerate(betas)), evaluate,
+                  [("equivalence_mismatches", 1.0, sum, False)], digest,
+                  skip=("skipped_zero_curvature", "zero_curvature_cases"))
+    g2 = standard_g2()
     pure7 = CurvatureSample(contract(g2.rho, np.eye(7)[0]), generator)
     res7 = lifted_curvature_type_residual(g2, pure7, loops)
-    report.add_case("pure_seven_residual", res7, 0.1, digest,
-                    passed=res7 > 0.1)
-    if zero_cases:
-        report.add_case("skipped_zero_curvature", float(zero_cases), float("inf"),
-                        digest, skipped=True, passed=True)
-    report.meta["zero_curvature_cases"] = zero_cases
+    report.add_case("pure_seven_residual", res7, 0.1, digest, passed=res7 > 0.1)
+    report.cases.insert(1, report.cases.pop())  # ahead of the skip case, if any
     return report
 
 
@@ -490,8 +463,11 @@ SUITES = {
 
 
 def run_suites(names, config: VerifyConfig) -> list[SuiteReport]:
-    """Run the named suites in order; 'all' expands to every suite."""
-    if names == "all" or names == ["all"]:
+    """Run the named suites in order: a list of names or one name, where
+    'all' expands to every suite."""
+    if isinstance(names, str):
+        names = [names]
+    if names == ["all"]:
         names = list(SUITES)
     reports = []
     for name in names:

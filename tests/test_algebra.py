@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from g2knot import knots, twistor
-from g2knot.algebra import (G2Structure, Octonion, cross, cross_field,
-                            complex_structure_apply, hermitian_trace_vector,
-                            is_associative, lie_action_on_rho,
-                            metric_from_three_form, octonion_mul,
-                            omega3_integrand, standard_g2, standard_phi,
-                            su3_volume_form, two_form_decompose,
+from g2knot.algebra import (G2Structure, Octonion, Su3VolumeForm, cross,
+                            cross_field, complex_structure_apply,
+                            hermitian_trace_vector, is_associative,
+                            lie_action_on_rho, metric_from_three_form,
+                            octonion_mul, omega3_integrand, standard_g2,
+                            standard_phi, two_form_decompose,
                             two_form_operator_matrix)
 from g2knot.errors import DegenerateForm, DegenerateSpan, NonUnitAxis
 from g2knot.forms import (AltForm, basis_form, contract, hodge_star,
@@ -145,19 +145,19 @@ class TestHolomorphicVolumeForm:
         # Omega(J a, b, c) = i Omega(a, b, c)
         for _ in range(20):
             v = random_unit(rng, g2)
-            omega_v = su3_volume_form(g2, v)
+            omega_v = Su3VolumeForm(g2, v)
             a, b, c = rng.standard_normal((3, 7))
             ja = complex_structure_apply(g2, v, a)
             assert omega_v(ja, b, c) == pytest.approx(1j * omega_v(a, b, c), abs=1e-10)
 
     def test_axis_degenerates(self, g2, rng):
         v = random_unit(rng, g2)
-        omega_v = su3_volume_form(g2, v)
+        omega_v = Su3VolumeForm(g2, v)
         b, c = rng.standard_normal((2, 7))
         assert omega_v(v, b, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_nondegenerate_on_perp(self, g2):
-        omega = su3_volume_form(g2, np.eye(7)[0])
+        omega = Su3VolumeForm(g2, np.eye(7)[0])
         e = np.eye(7)
         val = omega(e[1], e[3], e[5])
         assert abs(val) > 0.5

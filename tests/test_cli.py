@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from g2knot.cli import (format_form, format_vector, parse_form, parse_vector,
-                        run, _extract_tolerance_flags)
+from g2knot import cli
+from g2knot.cli import format_form, format_vector, parse_form, parse_vector, run
 from g2knot.forms import AltForm
-from g2knot.verify import random_loop
+from g2knot.verify import DEFAULT_TOLERANCES, random_loop
 
 
 class TestVectorParsing:
@@ -67,16 +67,35 @@ class TestFormParsing:
 
 
 class TestToleranceFlags:
-    def test_extraction(self):
-        rest, tols = _extract_tolerance_flags(
-            ["verify", "kahler", "--tol-nijenhuis", "0.5", "--seed", "3",
-             "--tol-d-omega-fd=1e-5"])
-        assert rest == ["verify", "kahler", "--seed", "3"]
-        assert tols == {"nijenhuis": 0.5, "d_omega_fd": 1e-5}
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli.verify, "run_suites",
+                            lambda names, config: seen.append(config) or [])
+        return seen
 
-    def test_missing_value(self):
-        with pytest.raises(ValueError):
-            _extract_tolerance_flags(["--tol-nijenhuis"])
+    @pytest.mark.parametrize("flag", [["--tol-d-omega-fd=1e-5"], ["--tol-d_omega_fd", "1e-5"]])
+    def test_both_spellings(self, configs, flag):
+        assert run(["verify", "kahler", "--tol-nijenhuis", "0.5"] + flag) == 0
+        assert configs[0].tol("d_omega_fd") == 1e-5
+        assert configs[0].tol("nijenhuis") == 0.5
+        assert configs[0].tol("cartan") == DEFAULT_TOLERANCES["cartan"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "kahler", "--tol-nijenhuis"],
+        ["verify", "kahler", "--tol-bogus", "1"],
+        ["algebra", "cross", "--x", "e1", "--y", "e2", "--tol-nijenhuis", "5"],
+        ["loop", "gen", "--tol-bogus", "1"],
+    ])
+    def test_missing_value_or_stray_flag_is_usage_error(self, configs, capsys, argv):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == "" and not configs
+
+    @pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+    def test_every_tolerance_is_in_help(self, capsys, key):
+        assert run(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert f"--tol-{key}" in out and f"--tol-{key.replace('_', '-')}" in out
 
 
 class TestAlgebraCommands:
@@ -162,6 +181,12 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc[0]["suite"] == "associative" and doc[0]["pass"]
+
+    def test_tolerance_printed_to_three_digits(self, capsys):
+        # the control ceiling is 0.999, not 1
+        assert run(["verify", "associative", "--n", "128", "--loops", "4",
+                    "--fields", "2"]) == 0
+        assert "tolerance 0.999" in capsys.readouterr().out
 
     def test_failing_suite_exit_one(self, capsys):
         # the Kaehler suite contains the genuinely failing Nijenhuis case

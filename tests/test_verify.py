@@ -15,10 +15,11 @@ from g2knot import twistor
 from g2knot.algebra import standard_g2
 from g2knot.errors import ConfigError
 from g2knot.loops import normal_project
-from g2knot.verify import (SuiteReport, VerifyConfig, _nondegeneracy_table,
-                           _type_10_field, random_loop, random_normal_field,
-                           reports_to_json, run_suites, suite_associative,
-                           suite_instanton, suite_kahler, suite_twistor)
+from g2knot.verify import (SUITES, SuiteReport, VerifyConfig,
+                           _nondegeneracy_table, _type_10_field, random_loop,
+                           random_normal_field, reports_to_json, run_suites,
+                           suite_associative, suite_instanton, suite_kahler,
+                           suite_twistor)
 
 SMALL = dict(loops=3, fields=2, n=256, instanton_samples=9)
 
@@ -118,10 +119,11 @@ class TestDeterminism:
         b = suite_instanton(VerifyConfig(**SMALL)).to_json()
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_threads_do_not_change_results(self, name):
         small = dict(SMALL, loops=2)
-        a = suite_twistor(VerifyConfig(**small)).to_json()
-        b = suite_twistor(VerifyConfig(**small, threads=4)).to_json()
+        a = SUITES[name](VerifyConfig(**small)).to_json()
+        b = SUITES[name](VerifyConfig(**small, threads=4)).to_json()
         assert a == b
 
     def test_blas_threads_do_not_change_results(self, tmp_path):
@@ -217,6 +219,10 @@ class TestRunSuites:
     def test_all_expansion(self):
         reports = run_suites("all", VerifyConfig(**dict(SMALL, loops=2, fields=1)))
         assert [r.suite for r in reports] == ["kahler", "twistor", "associative", "instanton"]
+
+    def test_single_suite_name_as_string(self):
+        reports = run_suites("instanton", VerifyConfig(**SMALL))
+        assert [r.suite for r in reports] == ["instanton"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError):

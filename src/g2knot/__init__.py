@@ -12,7 +12,7 @@ from .algebra import (G2Structure, Octonion, Su3VolumeForm, cross, cross_field,
                       two_form_operator_matrix)
 from .errors import (ConfigError, DegenerateForm, DegenerateSpan, G2KnotError,
                      ImmersionViolation, NonUnitAxis, StepOutOfRange,
-                     ZeroCurvature)
+                     UnderResolved, ZeroCurvature)
 from .forms import AltForm, basis_form, contract, hodge_star, wedge
 from .instanton import (CurvatureSample, is_g2_instanton,
                         lifted_curvature_type_residual)
@@ -20,8 +20,8 @@ from .knots import (KnotChart, acs_apply, chart_bracket, d_omega, d_omega_fd,
                     hermitian_metric, nijenhuis, omega)
 from .loops import (FourierLoopSpec, Loop7, arclength_params, circle_loop,
                     integrate, loop_from_fourier, loop_from_json, loop_to_json,
-                    normal_project, spectral_derivative, trig_interpolate,
-                    unit_speed_reparam)
+                    normal_project, spectral_derivative, spectral_tail,
+                    trig_interpolate, unit_speed_reparam)
 from .twistor import (LKnotLift, SplitTangent, cartan_check, covariant_split,
                       d_omega3_vs_xi, lift_tangent, lift_tangent_fd,
                       lknot_lift, omega3_eval, xi_eval, xi_tilde)

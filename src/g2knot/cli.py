@@ -21,7 +21,8 @@ from .algebra import (Octonion, is_associative, octonion_mul, standard_g2,
                       cross, two_form_decompose)
 from .errors import G2KnotError
 from .forms import AltForm, multi_indices
-from .loops import circle_loop, loop_from_json, loop_to_json, unit_speed_reparam
+from .loops import (circle_loop, loop_from_json, loop_to_json, require_resolved,
+                    unit_speed_reparam)
 
 _BASIS_TERM = re.compile(r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\s*e([1-7])")
 
@@ -230,6 +231,7 @@ def _cmd_loop(args) -> int:
         _write_output(args.out, loop_to_json(loop, spec))
     elif args.loop_command == "reparam":
         loop = loop_from_json(_read_input(args.input))
+        require_resolved(loop)
         _write_output(args.out, loop_to_json(unit_speed_reparam(loop)))
     return 0
 

@@ -21,6 +21,11 @@ class ImmersionViolation(G2KnotError):
     """A discretized loop fails the minimum-speed immersion floor."""
 
 
+class UnderResolved(G2KnotError):
+    """A discretized loop has too much energy near its Nyquist mode for its
+    trigonometric interpolant to be trusted."""
+
+
 class StepOutOfRange(G2KnotError):
     """A finite-difference step is outside the supported range."""
 

@@ -2,6 +2,9 @@
 suite execution exit codes, and report digests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +161,7 @@ class TestLoopCommands:
         "[1,2]",
         '{"samples": [[0,0,0,0,0,0,0]]}',
         '{"fourier": {"cos": [[0,0,0,0,0,0,0]]}, "n": 32}',
+        '{"n": true, "fourier": {"cos": [[0,0,0,0,0,0,0]], "sin": [[0,0,0,0,0,0,0]]}}',
     ])
     def test_malformed_loop_json_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
@@ -165,6 +169,47 @@ class TestLoopCommands:
         assert run(["loop", "reparam", "-i", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_boolean_n_names_the_integer_check(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": true, "fourier": {"cos": [[0,0,0,0,0,0,0]],'
+                        ' "sin": [[0,0,0,0,0,0,0]]}}')
+        assert run(["loop", "reparam", "-i", str(path)]) == 2
+        assert "integer 'n'" in capsys.readouterr().err
+
+    def test_under_resolved_loop_is_usage_error(self, tmp_path, capsys):
+        # white noise: the reparametrized speed used to spread by 1.24
+        path = tmp_path / "noise.json"
+        samples = np.random.default_rng(0).standard_normal((64, 7))
+        path.write_text(json.dumps({"n": 64, "samples": samples.tolist()}))
+        out = tmp_path / "fixed.json"
+        assert run(["loop", "reparam", "-i", str(path), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: loop is under-resolved")
+        assert captured.err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("gen", [["--circle", "--n", "64"], ["--seed", "3", "--n", "256"]])
+    def test_reparam_accepts_constant_speed_loops(self, tmp_path, gen):
+        # a circle, and a reparam output fed back in: both have constant speed
+        paths = [tmp_path / f"loop{i}.json" for i in range(3)]
+        assert run(["loop", "gen", *gen, "-o", str(paths[0])]) == 0
+        for src, dst in zip(paths, paths[1:]):
+            assert run(["loop", "reparam", "-i", str(src), "-o", str(dst)]) == 0
+        assert json.loads(paths[2].read_text())["n"] == int(gen[-1])
+
+    def test_reparam_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # N = 2048: the evaluator's matrix products are large enough to thread
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = tmp_path / "loop.json"
+        assert run(["loop", "gen", "--seed", "5", "--n", "2048", "-o", str(path)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "g2knot.cli", "loop", "reparam",
+                                   "-i", str(path)], env=env, capture_output=True, timeout=300)
+            assert done.returncode == 0
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_gen_uses_the_suite_sampler(self, tmp_path):
         path = tmp_path / "loop.json"

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from g2knot.errors import ImmersionViolation
-from g2knot.loops import (FourierLoopSpec, Loop7, arclength_params,
-                          circle_loop, integrate, loop_from_fourier,
-                          loop_from_json, loop_to_json, normal_project,
-                          spectral_derivative, trig_interpolate,
-                          unit_speed_reparam)
+from g2knot.errors import ImmersionViolation, UnderResolved
+from g2knot.loops import (RESOLVED_TAIL, FourierLoopSpec, Loop7,
+                          arclength_params, circle_loop, integrate,
+                          loop_from_fourier, loop_from_json, loop_to_json,
+                          normal_project, require_resolved, spectral_derivative,
+                          spectral_tail, trig_interpolate, unit_speed_reparam)
 from g2knot.verify import random_loop
 
 
@@ -26,7 +26,12 @@ def random_spec(rng, n=128, k_max=4):
 
 def dense_interpolant(values, t):
     """Reference interpolant: one complex exponential per FFT mode, with an
-    even N's Nyquist coefficient split evenly between +N/2 and -N/2."""
+    even N's Nyquist coefficient split evenly between +N/2 and -N/2.
+
+    The phases k t are formed and exponentiated in extended precision
+    (np.longdouble, 64-bit mantissa on x86-64), 256 points at a time. In
+    doubles, rounding k t alone moves a term by up to ulp(1024 * 2 pi) / 2 =
+    4.5e-13 at N = 2048, as large as the evaluator's own error."""
     n = values.shape[0]
     spec = np.fft.fft(values, axis=0) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -35,7 +40,10 @@ def dense_interpolant(values, t):
         spec[n // 2] *= 0.5
         spec[-1] *= 0.5
         k = np.concatenate([k, [n // 2]])
-    out = np.tensordot(np.exp(1j * np.outer(t, k)), spec, axes=(1, 0))
+    t = np.asarray(t, dtype=np.longdouble)
+    k = k.astype(np.longdouble)
+    out = np.concatenate([np.tensordot(np.exp(1j * np.outer(t[i:i + 256], k)), spec, axes=(1, 0))
+                          for i in range(0, t.size, 256)]).astype(complex)
     return out.real if np.isrealobj(values) else out
 
 
@@ -59,10 +67,12 @@ def dense_arclength_params(loop):
 
 
 class TestTrigEvaluator:
-    """The row-blocked cos/sin evaluator against dense exponentials."""
+    """The angle-addition (baby-step/giant-step) cos/sin evaluator against
+    dense exponentials."""
 
-    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("n", [16, 17, 256, 257])
     def test_matches_dense_reference(self, rng, n):
+        # N = 16, 17: M = N//2 + 1 <= 32, one giant step; N = 256, 257: Q = 5
         values = rng.standard_normal((n, 7))  # white noise: every mode present
         t = np.concatenate([2 * np.pi * np.arange(n) / n,
                             rng.uniform(-np.pi, 3 * np.pi, 300)])
@@ -70,6 +80,48 @@ class TestTrigEvaluator:
         assert out.shape == (t.size, 7) and np.isrealobj(out)
         assert np.abs(out - dense_interpolant(values, t)).max() < 1e-12
         assert np.abs(out[:n] - values).max() < 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is float64: a double reference rounds k t by"
+                               " up to 4.5e-13 and differs by up to 1.1e-12")
+    def test_padded_last_giant_step(self, rng):
+        # N = 2048: M = 1025 = 32 * 32 + 1 modes, so the 33rd giant step holds
+        # mode 1024 and 31 zero-padded ones. The points stay in one period:
+        # the float64 products k t of any evaluator round by up to 4.5e-13
+        # per 2 pi of t at k = 1024. The grid values differ from the samples
+        # by about 1.3e-12 through the FFT alone, so only the dense reference
+        # is checked there.
+        n = 2048
+        values = rng.standard_normal((n, 7))
+        t = np.concatenate([2 * np.pi * np.arange(n) / n, rng.uniform(0, 2 * np.pi, 300)])
+        out = trig_interpolate(values, t)
+        assert out.shape == (t.size, 7)
+        assert np.abs(out - dense_interpolant(values, t)).max() < 1e-12
+
+    def test_nyquist_mode_at_n_2048(self, rng):
+        n = 2048
+        grid = 2 * np.pi * np.arange(n) / n
+        t = rng.uniform(0, 2 * np.pi, 300)
+        out = trig_interpolate(np.cos(n * grid / 2), t)
+        assert np.abs(out - np.cos(n * t / 2)).max() < 1e-12
+        assert np.abs(out - dense_interpolant(np.cos(n * grid / 2), t)).max() < 1e-12
+
+    def test_fourier_spec_bit_identical_to_dense_tables(self, rng):
+        # A max-mode-5 spec is one giant step: evaluate and derivative are
+        # exactly the two products cos(k t) @ a + sin(k t) @ b.
+        spec = random_spec(rng, n=512, k_max=5)
+        t = np.concatenate([2 * np.pi * np.arange(512) / 512, rng.uniform(-np.pi, 3 * np.pi, 300)])
+        k = np.arange(6)
+        out = np.empty((t.size, 7))
+        dout = np.empty((t.size, 7))
+        for start in range(0, t.size, 256):
+            angles = np.outer(t[start:start + 256], k)
+            cos, sin = np.cos(angles), np.sin(angles)
+            out[start:start + 256] = cos @ spec.cos_coeffs + sin @ spec.sin_coeffs
+            dout[start:start + 256] = (cos @ (k[:, None] * spec.sin_coeffs)
+                                       + sin @ (-k[:, None] * spec.cos_coeffs))
+        assert np.array_equal(spec.evaluate(t), out)
+        assert np.array_equal(spec.derivative(t), dout)
 
     def test_nyquist_mode_stays_real(self, rng):
         n = 256
@@ -99,8 +151,9 @@ class TestTrigEvaluator:
         assert np.abs(t - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_reparam_memory_is_bounded(self):
-        # Dense N x N exponentials at N = 2048 peak above 130 MB; with
-        # 256-row cos/sin tables the traced peak stays near 4 MB.
+        # Dense N x N exponentials at N = 2048 peak above 130 MB, full-width
+        # 256 x 1025 cos/sin tables near 4.4 MB; blocks of 64-wide tables and
+        # their products, capped at 1 MB, keep the traced peak near 1.5 MB.
         loop = random_loop(np.random.default_rng(2048), 2048, 5)
         tracemalloc.start()
         try:
@@ -186,6 +239,54 @@ class TestReparametrization:
         spread = (fixed.speeds.max() - fixed.speeds.min()) / fixed.speeds.mean()
         assert spread < 1e-8
         assert fixed.length == pytest.approx(loop.length, rel=1e-10)
+
+
+class TestResolution:
+    def test_spectral_tail_of_single_modes(self):
+        n = 64
+        t = 2 * np.pi * np.arange(n) / n
+        assert spectral_tail(np.cos(3 * t)) < 1e-30
+        assert spectral_tail(np.sin(29 * t)) == pytest.approx(1.0)  # 29 > 32 - 4
+        assert spectral_tail(np.sin(28 * t)) < 1e-25
+        # energy is the mean square: 1/2 for cos 3t, 1 for the Nyquist mode (-1)^j
+        assert spectral_tail(np.cos(3 * t) + np.cos(32 * t)) == pytest.approx(2 / 3)
+        assert spectral_tail(np.full(n, 2.0)) == 0.0
+        # with the mean counted: mean square 4 + 1/2 for 2 + cos 30t
+        assert spectral_tail(2.0 + np.cos(30 * t), with_mean=True) == pytest.approx(1 / 9)
+        assert spectral_tail(np.full(n, 2.0), with_mean=True) == 0.0
+
+    def test_spectral_tail_sums_columns(self):
+        n = 64
+        t = 2 * np.pi * np.arange(n) / n
+        values = np.stack([np.cos(2 * t), np.cos(30 * t)], axis=1)
+        assert spectral_tail(values) == pytest.approx(0.5)
+
+    def test_generated_loops_pass_from_n_256(self):
+        for seed in range(20):
+            require_resolved(random_loop(np.random.default_rng(seed), 256, 5))
+
+    @pytest.mark.parametrize("n", [16, 64, 2048])
+    def test_constant_speed_passes(self, n):
+        # the circle's speed varies by rounding only; without the mean in its
+        # energy that noise filled the top eighth (tail 0.17 to 0.26)
+        require_resolved(circle_loop(n))
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_reparametrized_loops_pass(self, n):
+        require_resolved(unit_speed_reparam(random_loop(np.random.default_rng(3), n, 5)))
+
+    def test_white_noise_is_under_resolved(self, rng):
+        loop = Loop7(rng.standard_normal((64, 7)))
+        assert spectral_tail(loop.samples) > 1e6 * RESOLVED_TAIL
+        with pytest.raises(UnderResolved, match="samples"):
+            require_resolved(loop)
+
+    def test_coarse_speed_is_under_resolved(self):
+        # at N = 32 a max-mode-5 loop has exact samples but not an exact speed
+        loop = random_loop(np.random.default_rng(3), 32, 5)
+        assert spectral_tail(loop.samples) < 1e-25
+        with pytest.raises(UnderResolved, match="speed"):
+            require_resolved(loop)
 
 
 class TestNormalProjection:

@@ -15,7 +15,7 @@ from .errors import DegenerateForm, DegenerateSpan, NonUnitAxis
 from .forms import DIM, AltForm, contract, hodge_star, multi_indices, wedge
 
 UNIT_AXIS_TOL = 1e-12
-FLAT_METRIC_TOL = 1e-12
+ASSOCIATIVE_TOL = 1e-8
 
 
 def standard_phi() -> AltForm:
@@ -100,19 +100,6 @@ def metric_from_three_form(rho: AltForm) -> G2Structure:
 def standard_g2() -> G2Structure:
     """The flat G2 structure induced by standard_phi (identity metric)."""
     return metric_from_three_form(standard_phi())
-
-
-def flat_g2(g2: G2Structure | None = None) -> G2Structure:
-    """The structure for the knot-space layers: standard_g2() for None.
-
-    Those layers contract with the Euclidean metric, so a structure whose
-    metric is not the identity to FLAT_METRIC_TOL raises ValueError.
-    """
-    if g2 is None:
-        return standard_g2()
-    if np.abs(g2.metric - np.eye(DIM)).max() > FLAT_METRIC_TOL:
-        raise ValueError("the knot-space layers need a G2 structure with the identity metric")
-    return g2
 
 
 def _pairs(a, b) -> np.ndarray:
@@ -277,11 +264,12 @@ def lie_action_on_rho(g2: G2Structure, beta: AltForm) -> AltForm:
     return out
 
 
-def is_associative(g2: G2Structure, u, v, w, tol: float = 1e-8) -> tuple[bool, float]:
+def is_associative(g2: G2Structure, u, v, w) -> tuple[bool, float]:
     """Test whether span(u,v,w) is an associative 3-plane.
 
     Returns (flag, calibration) where calibration = rho on the orthonormalized
-    triple and flag is True when the plane is closed under the vector product.
+    triple and flag is True when the plane is closed under the vector product
+    to ASSOCIATIVE_TOL.
     """
     vecs = [np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(w, dtype=float)]
     gram = np.array([[g2.inner(a, b) for b in vecs] for a in vecs])
@@ -297,5 +285,5 @@ def is_associative(g2: G2Structure, u, v, w, tol: float = 1e-8) -> tuple[bool, f
     calibration = float(rho_field(g2, u1, v1, w1))
     p = cross(g2, u1, v1)
     residual = p - sum(g2.inner(p, e) * e for e in ortho)
-    flag = g2.vnorm(residual) < tol
+    flag = g2.vnorm(residual) < ASSOCIATIVE_TOL
     return flag, calibration

@@ -25,6 +25,8 @@ from .loops import (circle_loop, loop_from_json, loop_to_json, require_resolved,
                     unit_speed_reparam)
 
 _BASIS_TERM = re.compile(r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\s*e([1-7])")
+# A coefficient within DISPLAY_TOL of 0 is left out; one within it of +-1 prints bare.
+DISPLAY_TOL = 1e-12
 
 
 def parse_vector(text: str) -> np.ndarray:
@@ -63,28 +65,29 @@ def _finite(value, text: str):
     return value
 
 
-def format_vector(vec: np.ndarray, tol: float = 1e-12) -> str:
+def format_vector(vec: np.ndarray) -> str:
     """Inverse of parse_vector for display, e.g. 'e3' or '1.5e1-2e4'."""
     parts = []
     for i, c in enumerate(np.asarray(vec, dtype=float)):
-        if abs(c) <= tol:
+        if abs(c) <= DISPLAY_TOL:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        coeff = "" if abs(mag - 1.0) <= tol else f"{mag:g}"
+        coeff = "" if abs(mag - 1.0) <= DISPLAY_TOL else f"{mag:g}"
         parts.append(f"{sign}{coeff}e{i + 1}")
     return "".join(parts) if parts else "0"
 
 
 def parse_form(text: str) -> AltForm:
-    """Parse signed multi-index terms like '+123 -257' (1-based indices)."""
+    """Parse signed multi-index terms like '+123 -257' or '-2.5*12 +1e-05*47'
+    (1-based indices); a coefficient may carry an exponent, since '*' ends it."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty form expression")
     terms = {}
     degree = None
     for tok in tokens:
-        m = re.fullmatch(r"([+-]?)((?:\d+(?:\.\d*)?|\.\d+)\*)?([1-7]+)", tok)
+        m = re.fullmatch(r"([+-]?)((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\*)?([1-7]+)", tok)
         if m is None:
             raise ValueError(f"could not parse form term {tok!r}")
         sign = -1.0 if m.group(1) == "-" else 1.0
@@ -100,15 +103,15 @@ def parse_form(text: str) -> AltForm:
     return AltForm.from_terms(degree, terms)
 
 
-def format_form(form: AltForm, tol: float = 1e-12) -> str:
+def format_form(form: AltForm) -> str:
     parts = []
     for pos, idx in enumerate(multi_indices(form.degree)):
         c = form.coeffs[pos]
-        if abs(c) <= tol:
+        if abs(c) <= DISPLAY_TOL:
             continue
         sign = "-" if c < 0 else "+"
         mag = abs(c)
-        coeff = "" if abs(mag - 1.0) <= tol else f"{mag:g}*"
+        coeff = "" if abs(mag - 1.0) <= DISPLAY_TOL else f"{mag:g}*"
         parts.append(f"{sign}{coeff}{''.join(str(i + 1) for i in idx)}")
     return " ".join(parts) if parts else "0"
 

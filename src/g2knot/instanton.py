@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import G2Structure, flat_g2, hermitian_trace_vector, two_form_decompose
+from .algebra import G2Structure, hermitian_trace_vector, standard_g2, two_form_decompose
 from .errors import ZeroCurvature
 from .forms import AltForm
 from .loops import Loop7
@@ -59,8 +59,7 @@ def is_g2_instanton(g2: G2Structure, sample: CurvatureSample,
     return residual < tol, residual
 
 
-def lifted_curvature_type_residual(g2: G2Structure, sample: CurvatureSample,
-                                   loops: Sequence[Loop7]) -> float:
+def lifted_curvature_type_residual(sample: CurvatureSample, loops: Sequence[Loop7]) -> float:
     """Trace of the curvature against the knot complex structures.
 
     For each loop the complex structure at parameter t is J_{T(t)} on the
@@ -75,6 +74,6 @@ def lifted_curvature_type_residual(g2: G2Structure, sample: CurvatureSample,
         raise ZeroCurvature("curvature 2-form is identically zero")
     if len(loops) == 0:
         raise ValueError("need at least one loop")
-    tau = hermitian_trace_vector(flat_g2(g2), sample.form)
+    tau = hermitian_trace_vector(standard_g2(), sample.form)
     worst = max(float(np.abs(loop.unit_tangent @ tau).max()) for loop in loops)
     return worst / norm

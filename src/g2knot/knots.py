@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, cross_field, flat_g2, rho_field
+from .algebra import cross_field, rho_field, standard_g2
 from .errors import StepOutOfRange
 from .loops import Loop7, integrate, normal_project, spectral_derivative
 
@@ -23,28 +23,26 @@ H_MIN, H_MAX = 1e-6, 1e-2
 OMEGA_METRIC_SIGN = 1.0
 
 
-def acs_apply(loop: Loop7, X: np.ndarray, g2: G2Structure | None = None) -> np.ndarray:
+def acs_apply(loop: Loop7, X: np.ndarray) -> np.ndarray:
     """Almost complex structure: (I X)(t) = T(t) ⋆ X_N(t); complex-linear."""
-    return cross_field(flat_g2(g2), loop.unit_tangent, normal_project(loop, X))
+    return cross_field(standard_g2(), loop.unit_tangent, normal_project(loop, X))
 
 
-def omega(loop: Loop7, X: np.ndarray, Y: np.ndarray, g2: G2Structure | None = None):
+def omega(loop: Loop7, X: np.ndarray, Y: np.ndarray):
     """Symplectic form omega(X, Y) = ∫ rho(X(t), Y(t), γ'(t)) dt.
 
     As a line integral of rho this is invariant under reparametrization, so
     no unit-speed normalization is needed.
     """
-    return integrate(loop, rho_field(flat_g2(g2), X, Y, loop.velocity))
+    return integrate(loop, rho_field(standard_g2(), X, Y, loop.velocity))
 
 
-def hermitian_metric(loop: Loop7, X: np.ndarray, Y: np.ndarray,
-                     g2: G2Structure | None = None):
+def hermitian_metric(loop: Loop7, X: np.ndarray, Y: np.ndarray):
     """Hermitian metric G(X, Y) = ∫ g(X_N, Y_N) |γ'| dt (arclength integral).
 
     The speed weight makes G reparametrization invariant and equal to the
     constant-speed-chart value ∫ g(X_N, Y_N) dt up to the fixed speed factor.
     """
-    flat_g2(g2)  # rejects a non-flat structure; G is Euclidean here
     vals = np.einsum("ni,ni->n", normal_project(loop, X), normal_project(loop, Y))
     return integrate(loop, vals * loop.speeds)
 
@@ -54,10 +52,6 @@ class KnotChart:
     """Normal-bundle chart of the knot space at a constant-speed base loop."""
 
     base: Loop7
-    g2: G2Structure | None = None
-
-    def __post_init__(self):
-        self.g2 = flat_g2(self.g2)
 
     def loop_at(self, u: np.ndarray) -> Loop7:
         return Loop7(self.base.samples + np.asarray(u, dtype=float))
@@ -83,7 +77,7 @@ class KnotChart:
         acs(u, acs(u, X)) = -X exactly on chart tangents.
         """
         loop = self.loop_at(u)
-        return self.to_chart_tangent(loop, acs_apply(loop, X, self.g2))
+        return self.to_chart_tangent(loop, acs_apply(loop, X))
 
 
 def _check_step(h: float):
@@ -145,8 +139,8 @@ def d_omega(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> fl
     """
     def term(A, B, C):
         dC = spectral_derivative(np.asarray(C, dtype=float))
-        return integrate(chart.base, rho_field(chart.g2, np.asarray(A, dtype=float),
-                                               np.asarray(B, dtype=float), dC))
+        return integrate(chart.base, rho_field(standard_g2(), np.asarray(A, dtype=float),
+                                                    np.asarray(B, dtype=float), dC))
 
     return term(Y, Z, X) - term(X, Z, Y) + term(X, Y, Z)
 
@@ -157,7 +151,7 @@ def d_omega_fd(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     _check_step(h)
 
     def deriv(direction, A, B):
-        return _centered(lambda u: omega(chart.loop_at(u), A, B, chart.g2),
+        return _centered(lambda u: omega(chart.loop_at(u), A, B),
                          np.asarray(direction, dtype=float), h)
 
     return deriv(X, Y, Z) - deriv(Y, X, Z) + deriv(Z, X, Y)

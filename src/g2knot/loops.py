@@ -140,7 +140,7 @@ def trig_interpolate(values: np.ndarray, t_new: np.ndarray) -> np.ndarray:
 class Loop7:
     """Closed discretized curve in R^7 with spectral tangent data."""
 
-    def __init__(self, samples: np.ndarray, immersion_floor: float = IMMERSION_FLOOR):
+    def __init__(self, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 7:
             raise ValueError("samples must have shape (N, 7)")
@@ -153,9 +153,9 @@ class Loop7:
         self.params = TWO_PI * np.arange(self.n) / self.n
         self.velocity = spectral_derivative(samples)
         self.speeds = np.linalg.norm(self.velocity, axis=1)
-        if self.speeds.min() <= immersion_floor:
+        if self.speeds.min() <= IMMERSION_FLOOR:
             raise ImmersionViolation(
-                f"minimum speed {self.speeds.min():.3e} at or below floor {immersion_floor:.1e}")
+                f"minimum speed {self.speeds.min():.3e} at or below floor {IMMERSION_FLOOR:.1e}")
         self.unit_tangent = self.velocity / self.speeds[:, None]
 
     @property
@@ -179,8 +179,9 @@ class FourierLoopSpec:
     def __post_init__(self):
         self.cos_coeffs = np.atleast_2d(np.asarray(self.cos_coeffs, dtype=float))
         self.sin_coeffs = np.atleast_2d(np.asarray(self.sin_coeffs, dtype=float))
-        if self.cos_coeffs.shape != self.sin_coeffs.shape or self.cos_coeffs.shape[1] != 7:
-            raise ValueError("coefficient arrays must both have shape (K+1, 7)")
+        if (self.cos_coeffs.shape != self.sin_coeffs.shape or self.cos_coeffs.shape[1] != 7
+                or self.cos_coeffs.shape[0] == 0):
+            raise ValueError("coefficient arrays must both have shape (K+1, 7) with K >= 0")
         k_max = self.cos_coeffs.shape[0] - 1
         if self.n <= 2 * k_max:
             raise ValueError(f"need n > 2K = {2 * k_max} samples to avoid aliasing")
@@ -300,10 +301,9 @@ def loop_from_json(text: str) -> Loop7:
     raise ValueError("loop JSON needs 'samples' or 'fourier'")
 
 
-def circle_loop(n: int = 256, axes: tuple[int, int] = (0, 1), radius: float = 1.0) -> Loop7:
-    """Planar circle fixture in the given coordinate plane."""
+def circle_loop(n: int = 256) -> Loop7:
+    """Unit circle fixture in the e1-e2 plane."""
     cos = np.zeros((2, 7))
     sin = np.zeros((2, 7))
-    cos[1, axes[0]] = radius
-    sin[1, axes[1]] = radius
+    cos[1, 0] = sin[1, 1] = 1.0
     return loop_from_fourier(FourierLoopSpec(cos, sin, n))

@@ -12,35 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import G2Structure, flat_g2, omega3_integrand, rho_star_field
+from .algebra import omega3_integrand, rho_star_field, standard_g2
 from .knots import KnotChart, _centered, _check_step, chart_bracket
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
 
-UNIT_SPHERE_TOL = 1e-12
+FD_EPS = 1e-5
 
 
 @dataclass
 class LKnotLift:
-    """A knot lifted into S^6 x R^7 by its own unit tangent.
-
-    base is constant speed; sphere_curve[j] = T(t_j) is a unit vector equal to
-    the base unit tangent at every sample.
-    """
+    """A knot lifted into S^6 x R^7 by its own unit tangent: base is constant
+    speed, and sphere_curve[j] = T(t_j) is its unit tangent at sample j."""
 
     base: Loop7
-    sphere_curve: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.sphere_curve, dtype=float)
-        if v.shape != (self.base.n, 7):
-            raise ValueError("sphere curve must have shape (N, 7)")
-        norms = np.linalg.norm(v, axis=1)
-        if np.abs(norms - 1.0).max() > UNIT_SPHERE_TOL:
-            raise ValueError("sphere curve is not pointwise unit")
-        if np.abs(v - self.base.unit_tangent).max() > 1e-8:
-            raise ValueError("sphere curve must equal the base unit tangent")
-        self.sphere_curve = v
+    @property
+    def sphere_curve(self) -> np.ndarray:
+        return self.base.unit_tangent
 
     @property
     def speed(self) -> float:
@@ -65,8 +54,7 @@ class SplitTangent:
 
 def lknot_lift(loop: Loop7) -> LKnotLift:
     """Lift a knot by its unit tangent, after constant-speed resampling."""
-    loop = unit_speed_reparam(loop)
-    return LKnotLift(base=loop, sphere_curve=loop.unit_tangent.copy())
+    return LKnotLift(unit_speed_reparam(loop))
 
 
 def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
@@ -83,13 +71,13 @@ def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     return SplitTangent(vertical=dX / lift.base.speeds[:, None], horizontal=X1)
 
 
-def lift_tangent_fd(lift: LKnotLift, X1: np.ndarray, eps: float = 1e-5) -> SplitTangent:
-    """Independent oracle for lift_tangent: finite difference of the deformed
-    loop's unit tangent at fixed parametrization."""
+def lift_tangent_fd(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
+    """Independent oracle for lift_tangent: finite difference, with step
+    FD_EPS, of the deformed loop's unit tangent at fixed parametrization."""
     X1 = np.asarray(X1, dtype=float)
-    vp = Loop7(lift.base.samples + eps * X1).unit_tangent
-    vm = Loop7(lift.base.samples - eps * X1).unit_tangent
-    return SplitTangent(vertical=(vp - vm) / (2.0 * eps), horizontal=X1)
+    vp = Loop7(lift.base.samples + FD_EPS * X1).unit_tangent
+    vm = Loop7(lift.base.samples - FD_EPS * X1).unit_tangent
+    return SplitTangent(vertical=(vp - vm) / (2.0 * FD_EPS), horizontal=X1)
 
 
 def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
@@ -105,7 +93,7 @@ def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
 
 
 def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
-                C: SplitTangent, g2: G2Structure | None = None) -> complex:
+                C: SplitTangent) -> complex:
     """The complex 3-form on the lifted knot space.
 
     Evaluates ∫ [rho(A_h,B_h,C_h) - i rho*(v,A_h,B_h,C_h)] dt on the
@@ -113,13 +101,13 @@ def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
     imaginary part is fixed so the form has type (3,0): replacing A_h by
     J_v A_h multiplies the value by i.
     """
-    vals = omega3_integrand(flat_g2(g2), lift.sphere_curve, np.asarray(A.horizontal),
+    vals = omega3_integrand(standard_g2(), lift.sphere_curve, np.asarray(A.horizontal),
                             np.asarray(B.horizontal), np.asarray(C.horizontal))
     return complex(integrate(lift.base, vals))
 
 
-def xi_eval(g2: G2Structure, v: np.ndarray, W1: SplitTangent, W2: SplitTangent,
-            W3: SplitTangent, W4: SplitTangent) -> np.ndarray:
+def xi_eval(v: np.ndarray, W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
+            W4: SplitTangent) -> np.ndarray:
     """Pointwise 4-form pairing d(complex 3-form) with the tangent splitting.
 
     For each argument the fiber slot contributes -rho*(W_a^ver, ., ., .) as a
@@ -132,12 +120,11 @@ def xi_eval(g2: G2Structure, v: np.ndarray, W1: SplitTangent, W2: SplitTangent,
     vals = 0.0  # stays real unless some argument is complex
     for a in range(4):
         b, c, d = (args[k].horizontal for k in range(4) if k != a)
-        vals = vals - (-1) ** a * rho_star_field(g2, args[a].vertical, b, c, d)
+        vals = vals - (-1) ** a * rho_star_field(standard_g2(), args[a].vertical, b, c, d)
     return vals
 
 
-def xi_tilde(lift: LKnotLift, X1, X2, X3, X4,
-             g2: G2Structure | None = None) -> float:
+def xi_tilde(lift: LKnotLift, X1, X2, X3, X4) -> float:
     """Integral of the 4-form pairing over the tangent-lifted knot.
 
     Uses the covariant splitting (-X'/c, X), for which the integrand is the
@@ -146,14 +133,12 @@ def xi_tilde(lift: LKnotLift, X1, X2, X3, X4,
     lift_tangent the integral is generically of order one; see the twistor
     tests for the measured gap.
     """
-    g2 = flat_g2(g2)
     ws = [covariant_split(lift, np.asarray(X, dtype=float)) for X in (X1, X2, X3, X4)]
-    vals = xi_eval(g2, lift.sphere_curve, *ws)
+    vals = xi_eval(lift.sphere_curve, *ws)
     return float(integrate(lift.base, vals))
 
 
-def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float,
-                 g2: G2Structure | None = None) -> complex:
+def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float) -> complex:
     """Cartan pairing Omega((1,0)-fields; bracket of (0,1)-fields).
 
     Builds type-preserving chart extensions X(u) = (1 - i I_u) x / 2 and
@@ -164,7 +149,7 @@ def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float,
     almost complex structure and tracks the Nijenhuis residual.
     """
     _check_step(h)
-    chart = KnotChart(lift.base, g2)
+    chart = KnotChart(lift.base)
     zero = np.zeros((lift.base.n, 7))
 
     def type_field(seed_field, sign):
@@ -177,26 +162,24 @@ def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float,
     t_map = type_field(T, +1.0)
     bracket = chart_bracket(chart, z_map, t_map, zero, h)
     lifted = [lift_tangent(lift, F) for F in (x_map(zero), y_map(zero), bracket)]
-    return omega3_eval(lift, *lifted, g2=chart.g2)
+    return omega3_eval(lift, *lifted)
 
 
 def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
-                   W3: SplitTangent, W4: SplitTangent, h: float,
-                   g2: G2Structure | None = None) -> tuple[complex, complex]:
+                   W3: SplitTangent, W4: SplitTangent, h: float) -> tuple[complex, complex]:
     """Compare the finite-difference exterior derivative of the complex 3-form
     with i times the integrated 4-form pairing, on four chart-constant split
     fields over the sphere-bundle chart (fiber and base displaced
     independently, fiber points renormalized to the unit sphere).
     """
     _check_step(h)
-    g2 = flat_g2(g2)
     base_v = lift.sphere_curve
     args = [W1, W2, W3, W4]
 
     def omega_at(dv, A, B, C):
         v = base_v + dv
         v = v / np.linalg.norm(v, axis=1)[:, None]
-        vals = omega3_integrand(g2, v, np.asarray(A.horizontal),
+        vals = omega3_integrand(standard_g2(), v, np.asarray(A.horizontal),
                                 np.asarray(B.horizontal), np.asarray(C.horizontal))
         return complex(integrate(lift.base, vals))
 
@@ -204,5 +187,5 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
     for a in range(4):
         rest = args[:a] + args[a + 1:]
         lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, *rest), args[a].vertical, h)
-    rhs = 1j * integrate(lift.base, xi_eval(g2, base_v, *args))
+    rhs = 1j * integrate(lift.base, xi_eval(base_v, *args))
     return lhs, complex(rhs)

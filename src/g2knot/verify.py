@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import knots, twistor
-from .algebra import (G2Structure, cross_field, is_associative, omega3_slot,
-                      standard_g2, two_form_decompose)
+from .algebra import (cross_field, is_associative, omega3_slot, standard_g2,
+                      two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
 from .instanton import (CurvatureSample, INSTANTON_TOL, LIFTED_TOL,
@@ -89,8 +89,9 @@ class VerifyConfig:
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         for key, val in merged.items():
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError(f"tolerance {key} must be positive, got {val!r}")
+            # bool is an int subclass; nan fails both comparisons
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and 0 < val < np.inf):
+                raise ConfigError(f"tolerance {key} must be positive and finite, got {val!r}")
         self.tolerances = merged
 
     def tol(self, key: str) -> float:
@@ -135,8 +136,8 @@ class SuiteReport:
             "meta": self.meta,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def convergence_csv(self) -> str:
         buf = io.StringIO()
@@ -158,15 +159,17 @@ def random_fourier_spec(rng: np.random.Generator, n: int, max_mode: int = 5) -> 
 
 # Ensemble conditioning: loops whose speed dips far below its mean need more
 # than the configured resolution for spectrally accurate arclength calculus,
-# so the ensemble rejects them along with outright immersion failures.
+# so the ensemble rejects them along with outright immersion failures, up to
+# LOOP_TRIES draws per loop.
 SPEED_RATIO_FLOOR = 0.5
+LOOP_TRIES = 50
 
 
-def random_fourier_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
-                        max_tries: int = 50) -> tuple[Loop7, FourierLoopSpec]:
+def random_fourier_loop(rng: np.random.Generator, n: int,
+                        max_mode: int = 5) -> tuple[Loop7, FourierLoopSpec]:
     """Random smooth loop and its spectrum, rejecting samples below the
     immersion floor or the speed-conditioning floor."""
-    for _ in range(max_tries):
+    for _ in range(LOOP_TRIES):
         spec = random_fourier_spec(rng, n, max_mode)
         try:
             loop = loop_from_fourier(spec)
@@ -177,10 +180,9 @@ def random_fourier_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
     raise ImmersionViolation("could not sample a well-conditioned immersed loop")
 
 
-def random_loop(rng: np.random.Generator, n: int, max_mode: int = 5,
-                max_tries: int = 50) -> Loop7:
+def random_loop(rng: np.random.Generator, n: int, max_mode: int = 5) -> Loop7:
     """Random smooth loop from random_fourier_loop, without its spectrum."""
-    return random_fourier_loop(rng, n, max_mode, max_tries)[0]
+    return random_fourier_loop(rng, n, max_mode)[0]
 
 
 def random_normal_field(rng: np.random.Generator, loop: Loop7,
@@ -195,18 +197,17 @@ def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
     """Evaluate pre-drawn items, in G2KNOT_THREADS threads when configured,
     and record one case per row of `cases`.
 
-    evaluate(g2, item) returns a dict of metrics keyed by case name, or None
+    evaluate(item) returns a dict of metrics keyed by case name, or None
     for a skipped item. A row is (case, tolerance key or fixed bound,
     reduction over the evaluated items' metric, floor); a floor case passes
     above its bound, any other below. skip = (case, meta key) records how many
     items were skipped.
     """
-    g2 = standard_g2()
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            results = list(ex.map(lambda item: evaluate(g2, item), items))
+            results = list(ex.map(evaluate, items))
     else:
-        results = [evaluate(g2, item) for item in items]
+        results = [evaluate(item) for item in items]
     done = [r for r in results if r is not None]
     meta = {key: getattr(config, key)
             for key in ("seed", "n", "h", "loops", "fields", "max_mode")}
@@ -235,22 +236,22 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
                          for _ in range(3)) for _ in range(config.fields)]
         items.append((loop, triples))
 
-    def evaluate(g2, item):
+    def evaluate(item):
         loop, triples = item
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         m_exact = m_fd = m_compat = m_nij = 0.0
         for fi, (X, Y, Z) in enumerate(triples):
             scale = max(np.linalg.norm(X), np.linalg.norm(Y), np.linalg.norm(Z)) ** 3
             m_exact = max(m_exact, abs(knots.d_omega(chart, X, Y, Z)) / scale)
             m_fd = max(m_fd, abs(knots.d_omega_fd(chart, X, Y, Z, config.h)) / scale)
-            IX = knots.acs_apply(loop, X, g2)
-            IY = knots.acs_apply(loop, Y, g2)
+            IX = knots.acs_apply(loop, X)
+            IY = knots.acs_apply(loop, Y)
             pair_scale = np.linalg.norm(X) * np.linalg.norm(Y)
             m_compat = max(
                 m_compat,
-                abs(knots.omega(loop, X, Y, g2)
-                    - knots.OMEGA_METRIC_SIGN * knots.hermitian_metric(loop, IX, Y, g2)) / pair_scale,
-                abs(knots.omega(loop, IX, IY, g2) - knots.omega(loop, X, Y, g2)) / pair_scale,
+                abs(knots.omega(loop, X, Y)
+                    - knots.OMEGA_METRIC_SIGN * knots.hermitian_metric(loop, IX, Y)) / pair_scale,
+                abs(knots.omega(loop, IX, IY) - knots.omega(loop, X, Y)) / pair_scale,
             )
             if fi < 2:  # Nijenhuis is the costly case; two field pairs per loop
                 nij = knots.nijenhuis(chart, X, Y, config.h)
@@ -262,7 +263,6 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
              for name in ("d_omega_exact", "d_omega_fd", "compatibility", "nijenhuis")]
     report = _run("kahler", config, items, evaluate, cases,
                   f"{config.loops} loops x {config.fields} fields, seed {config.seed}")
-    g2 = standard_g2()
 
     # convergence of the finite-difference d(omega) route in N
     conv_rng = np.random.default_rng(config.seed + 1)
@@ -270,7 +270,7 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
     for n_val in CONVERGENCE_SAMPLE_COUNTS:
         spec = FourierLoopSpec(spec_big.cos_coeffs, spec_big.sin_coeffs, n_val)
         loop = loop_from_fourier(spec)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         f_rng = np.random.default_rng(config.seed + 2)
         fields = [random_normal_field(f_rng, loop, config.max_mode) for _ in range(3)]
         res = abs(knots.d_omega_fd(chart, *fields, config.h))
@@ -279,7 +279,7 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
 
     # Nijenhuis residual versus the finite-difference step
     loop = random_loop(np.random.default_rng(config.seed + 3), config.n, config.max_mode)
-    chart = KnotChart(loop, g2)
+    chart = KnotChart(loop)
     f_rng = np.random.default_rng(config.seed + 4)
     X = random_normal_field(f_rng, loop, config.max_mode)
     Y = random_normal_field(f_rng, loop, config.max_mode)
@@ -290,22 +290,23 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
     return report
 
 
-def _type_10_field(loop: Loop7, X: np.ndarray, g2: G2Structure) -> np.ndarray:
+def _type_10_field(loop: Loop7, X: np.ndarray) -> np.ndarray:
     """(1,0)-part (X - i I X) / 2 of a real normal field."""
-    return 0.5 * (X - 1j * knots.acs_apply(loop, X, g2))
+    return 0.5 * (X - 1j * knots.acs_apply(loop, X))
 
 
-def _nondegeneracy_table(lift: twistor.LKnotLift, X: np.ndarray,
-                         g2: G2Structure) -> tuple[np.ndarray, np.ndarray]:
+def _nondegeneracy_table(lift: twistor.LKnotLift,
+                         X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The complex 3-form on the (1,0)-part A of X and the (1,0)-parts F_j of
     the seven projected constant basis fields: table[j, k] = Omega(A, F_j, F_k),
     with the scale max|A| max|F_j| max|F_k| (each F factor floored at 1e-12)."""
     base = lift.base
-    A = _type_10_field(base, X, g2)
+    A = _type_10_field(base, X)
     # F[n, j] = F_j(t_n), so F[n] @ slot[n] @ F[n].T holds all pairs at t_n
-    F = np.stack([_type_10_field(base, normal_project(base, np.tile(e, (base.n, 1))), g2)
+    F = np.stack([_type_10_field(base, normal_project(base, np.tile(e, (base.n, 1))))
                   for e in np.eye(7)], axis=1)
-    table = integrate(base, F @ omega3_slot(g2, lift.sphere_curve, A) @ F.transpose(0, 2, 1))
+    slot = omega3_slot(standard_g2(), lift.sphere_curve, A)
+    table = integrate(base, F @ slot @ F.transpose(0, 2, 1))
     norms = np.maximum(np.abs(F).max(axis=(0, 2)), 1e-12)
     return table, np.abs(A).max() * norms[:, None] * norms[None, :]
 
@@ -323,7 +324,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         Vs = [random_normal_field(rng, lift.base, config.max_mode) for _ in range(4)]
         items.append((lift, Xs, Vs))
 
-    def evaluate(g2, item):
+    def evaluate(item):
         lift, Xs, Vs = item
         base = lift.base
         scales = [np.abs(X).max() for X in Xs]
@@ -335,26 +336,26 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
 
         # integrated 4-form pairing on the tangent lift
         xi_scale = float(np.prod(scales))
-        m_xi = abs(twistor.xi_tilde(lift, *Xs, g2=g2)) / xi_scale
+        m_xi = abs(twistor.xi_tilde(lift, *Xs)) / xi_scale
 
         # d(3-form) = i * (4-form pairing) on split fields with random verticals
         ws = [twistor.SplitTangent(normal_project(base, V), X) for X, V in zip(Xs, Vs)]
-        lhs, rhs = twistor.d_omega3_vs_xi(lift, *ws, h=config.h, g2=g2)
+        lhs, rhs = twistor.d_omega3_vs_xi(lift, *ws, h=config.h)
         m_dvs = abs(lhs - rhs) / max(abs(rhs), 1.0)
 
         # Cartan pairing of the 3-form with a bracket of (0,1)-fields
-        cc = twistor.cartan_check(lift, Xs[0], Xs[1], Xs[2], Xs[3], h=config.h, g2=g2)
+        cc = twistor.cartan_check(lift, Xs[0], Xs[1], Xs[2], Xs[3], h=config.h)
         m_cartan = abs(cc) / xi_scale
 
         # (3,0)-type identity and non-degeneracy probe of the 3-form
         splits = [twistor.lift_tangent(lift, X) for X in Xs[:3]]
-        val = twistor.omega3_eval(lift, *splits, g2=g2)
-        JA = cross_field(g2, lift.sphere_curve, normal_project(base, splits[0].horizontal))
+        val = twistor.omega3_eval(lift, *splits)
+        JA = knots.acs_apply(base, splits[0].horizontal)
         rotated = twistor.omega3_eval(
-            lift, twistor.SplitTangent(splits[0].vertical, JA), splits[1], splits[2], g2=g2)
+            lift, twistor.SplitTangent(splits[0].vertical, JA), splits[1], splits[2])
         m_type = abs(rotated - 1j * val) / float(np.prod(scales[:3]))
 
-        table, denom = _nondegeneracy_table(lift, Xs[0], g2)
+        table, denom = _nondegeneracy_table(lift, Xs[0])
         upper = np.triu(denom >= 1e-10, k=1)
         best = float((np.abs(table[upper]) / denom[upper]).max(initial=0.0))
         return {"lift_oracle": m_lift, "xi_tilde": m_xi, "d_omega3_vs_xi": m_dvs,
@@ -367,8 +368,8 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
                 f"{config.loops} loops, seed {config.seed}")
 
 
-def _family_calibrations(g2: G2Structure, loop: Loop7, X: np.ndarray,
-                         partner, steps: np.ndarray) -> np.ndarray:
+def _family_calibrations(loop: Loop7, X: np.ndarray, partner,
+                         steps: np.ndarray) -> np.ndarray:
     """Calibration values of the plane (X_N, partner(X_N), tangent) along the
     family of loops flowed by s * X."""
     out = []
@@ -378,7 +379,7 @@ def _family_calibrations(g2: G2Structure, loop: Loop7, X: np.ndarray,
         P = partner(moved, X_N)
         T = moved.unit_tangent
         for t_idx in range(0, moved.n, max(1, moved.n // 16)):
-            _, calib = is_associative(g2, X_N[t_idx], P[t_idx], T[t_idx])
+            _, calib = is_associative(standard_g2(), X_N[t_idx], P[t_idx], T[t_idx])
             out.append(calib)
     return np.asarray(out)
 
@@ -398,15 +399,14 @@ def suite_associative(config: VerifyConfig) -> SuiteReport:
         Y = None if np.abs(X).max() < 1e-12 else random_normal_field(rng, loop, config.max_mode)
         items.append((loop, X, Y))
 
-    def evaluate(g2, item):
+    def evaluate(item):
         loop, X, Y = item
         if Y is None:
             return None
         try:
             calib = _family_calibrations(
-                g2, loop, X, lambda lp, xn: cross_field(g2, lp.unit_tangent, xn), steps)
-            control = _family_calibrations(
-                g2, loop, X, lambda lp, xn: normal_project(lp, Y), steps)
+                loop, X, lambda lp, xn: cross_field(standard_g2(), lp.unit_tangent, xn), steps)
+            control = _family_calibrations(loop, X, lambda lp, xn: normal_project(lp, Y), steps)
         except ImmersionViolation:
             return None
         return {"calibration": float(np.abs(calib - 1.0).max()),
@@ -428,15 +428,16 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
     betas = [rng.standard_normal(21) for _ in range(config.instanton_samples)]
     generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
     weights = [0.0, 1e-3, 1.0]
+    g2 = standard_g2()
 
-    def evaluate(g2, item):
+    def evaluate(item):
         i, coeffs = item
         beta7, beta14 = two_form_decompose(g2, AltForm(2, coeffs))
         w = weights[i % len(weights)]
         sample = CurvatureSample(AltForm(2, beta14.coeffs + w * beta7.coeffs), generator)
         try:
             flag, _ = is_g2_instanton(g2, sample, config.tol("instanton"))
-            lifted = lifted_curvature_type_residual(g2, sample, loops)
+            lifted = lifted_curvature_type_residual(sample, loops)
         except ZeroCurvature:
             return None
         mismatch = flag != (lifted < config.tol("lifted_instanton"))
@@ -446,9 +447,8 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
     report = _run("instanton", config, list(enumerate(betas)), evaluate,
                   [("equivalence_mismatches", 1.0, sum, False)], digest,
                   skip=("skipped_zero_curvature", "zero_curvature_cases"))
-    g2 = standard_g2()
     pure7 = CurvatureSample(contract(g2.rho, np.eye(7)[0]), generator)
-    res7 = lifted_curvature_type_residual(g2, pure7, loops)
+    res7 = lifted_curvature_type_residual(pure7, loops)
     report.add_case("pure_seven_residual", res7, 0.1, digest, passed=res7 > 0.1)
     report.cases.insert(1, report.cases.pop())  # ahead of the skip case, if any
     return report
@@ -477,5 +477,5 @@ def run_suites(names, config: VerifyConfig) -> list[SuiteReport]:
     return reports
 
 
-def reports_to_json(reports: list[SuiteReport], indent: int = 2) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=indent)
+def reports_to_json(reports: list[SuiteReport]) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2)

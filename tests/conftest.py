@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from g2knot.algebra import standard_g2
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -25,3 +27,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def g2():
+    return standard_g2()

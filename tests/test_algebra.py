@@ -20,11 +20,6 @@ from g2knot.loops import integrate, spectral_derivative
 from g2knot.verify import random_loop
 
 
-@pytest.fixture(scope="module")
-def g2():
-    return standard_g2()
-
-
 def random_unit(rng, g2):
     v = rng.standard_normal(7)
     return v / g2.vnorm(v)
@@ -272,7 +267,7 @@ class TestKernelReference:
             # a constant X broadcasts along the loop; with Y constant too omega is 0
             X, Y = draw(*shape), draw(self.N, 7)
             vals = np.einsum("ijk,...i,...j,...k->...", g2.rho_tensor, X, Y, loop.velocity)
-            assert_rel(knots.omega(loop, X, Y, g2), integrate(loop, vals))
+            assert_rel(knots.omega(loop, X, Y), integrate(loop, vals))
 
     def test_d_omega(self, g2, loop):
         rng = np.random.default_rng(9)
@@ -282,7 +277,7 @@ class TestKernelReference:
             vals = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, spectral_derivative(C))
             return integrate(loop, vals)
         ref = term(Y, Z, X) - term(X, Z, Y) + term(X, Y, Z)
-        got = knots.d_omega(knots.KnotChart(loop, g2), X, Y, Z)
+        got = knots.d_omega(knots.KnotChart(loop), X, Y, Z)
         assert abs(got - ref) <= 1e-13 * max(abs(term(Y, Z, X)), abs(term(X, Y, Z)))
 
     def test_xi_eval(self, g2, draw, loop):
@@ -292,7 +287,7 @@ class TestKernelReference:
             others = [args[b] for b in range(4) if b != a]
             q = -np.einsum("ijkl,ni->njkl", g2.rho_star_tensor, args[a].vertical)
             ref = ref + (-1) ** a * np.einsum("njkl,nj,nk,nl->n", q, *(o.horizontal for o in others))
-        assert_rel(twistor.xi_eval(g2, loop.unit_tangent, *args), ref)
+        assert_rel(twistor.xi_eval(loop.unit_tangent, *args), ref)
 
 
 class TestAssociativePlanes:

@@ -64,8 +64,11 @@ class TestFormParsing:
             parse_form("what")
 
     def test_format_roundtrip(self):
-        form = parse_form("+123 -2*145")
-        back = parse_form(format_form(form))
+        # format_form writes 3e-05 with an exponent, so parse_form must read one
+        form = parse_form("+123 -2*145 +0.00003*167")
+        text = format_form(form)
+        assert "+3e-05*167" in text
+        back = parse_form(text)
         assert np.allclose(back.coeffs, form.coeffs)
 
 
@@ -153,6 +156,12 @@ class TestLoopCommands:
         assert run(["loop", "gen", "--circle", "--n", "64", "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["n"] == 64
+
+    def test_empty_spectrum_is_usage_error(self, capsys):
+        # --k -1 asks for no Fourier modes at all; it used to divide by zero
+        assert run(["loop", "gen", "--k", "-1", "--n", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_input_is_usage_error(self, capsys):
         assert run(["loop", "reparam", "-i", "/nonexistent/loop.json"]) == 2

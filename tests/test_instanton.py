@@ -4,7 +4,7 @@ with the vanishing of the lifted curvature trace along knots."""
 import numpy as np
 import pytest
 
-from g2knot.algebra import standard_g2, two_form_decompose, two_form_operator_matrix
+from g2knot.algebra import two_form_decompose, two_form_operator_matrix
 from g2knot.errors import ZeroCurvature
 from g2knot.forms import AltForm, contract
 from g2knot.instanton import (CurvatureSample, is_g2_instanton,
@@ -12,11 +12,6 @@ from g2knot.instanton import (CurvatureSample, is_g2_instanton,
 from g2knot.verify import random_loop
 
 GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return standard_g2()
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +64,12 @@ class TestLiftedResidual:
         L = two_form_operator_matrix(g2)
         c = rng.standard_normal(21)
         c14 = (2.0 * c - L @ c) / 3.0
-        res = lifted_curvature_type_residual(g2, CurvatureSample(AltForm(2, c14), GEN), loops)
+        res = lifted_curvature_type_residual(CurvatureSample(AltForm(2, c14), GEN), loops)
         assert res < 1e-8
 
     def test_seven_part_is_visible(self, g2, loops):
         form = contract(g2.rho, np.eye(7)[0])
-        res = lifted_curvature_type_residual(g2, CurvatureSample(form, GEN), loops)
+        res = lifted_curvature_type_residual(CurvatureSample(form, GEN), loops)
         assert res > 0.1
 
     def test_equivalence_battery(self, g2, loops, rng):
@@ -85,14 +80,14 @@ class TestLiftedResidual:
             w = weights[i % 3]
             sample = CurvatureSample(AltForm(2, beta14.coeffs + w * beta7.coeffs), GEN)
             flag, _ = is_g2_instanton(g2, sample)
-            lifted = lifted_curvature_type_residual(g2, sample, loops)
+            lifted = lifted_curvature_type_residual(sample, loops)
             assert flag == (lifted < 1e-6)
 
     def test_zero_curvature_guard(self, g2, loops):
         with pytest.raises(ZeroCurvature):
-            lifted_curvature_type_residual(g2, CurvatureSample(AltForm(2), GEN), loops)
+            lifted_curvature_type_residual(CurvatureSample(AltForm(2), GEN), loops)
 
     def test_empty_ensemble_rejected(self, g2):
         form = contract(g2.rho, np.eye(7)[0])
         with pytest.raises(ValueError):
-            lifted_curvature_type_residual(g2, CurvatureSample(form, GEN), [])
+            lifted_curvature_type_residual(CurvatureSample(form, GEN), [])

@@ -4,8 +4,7 @@ chart brackets, and the Nijenhuis tensor with its explicit nonzero witness."""
 import numpy as np
 import pytest
 
-from g2knot.algebra import (cross_field, metric_from_three_form, standard_g2,
-                            standard_phi)
+from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
 from g2knot.knots import (KnotChart, OMEGA_METRIC_SIGN, acs_apply,
                           chart_bracket, d_omega, d_omega_fd,
@@ -13,14 +12,8 @@ from g2knot.knots import (KnotChart, OMEGA_METRIC_SIGN, acs_apply,
 from g2knot.loops import (FourierLoopSpec, Loop7, circle_loop,
                           loop_from_fourier, normal_project, trig_interpolate,
                           unit_speed_reparam)
-from g2knot.twistor import lift_tangent, lknot_lift, omega3_eval
 
 N = 256
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return standard_g2()
 
 
 @pytest.fixture(scope="module")
@@ -57,99 +50,99 @@ def const_field(loop, axis):
 class TestAlmostComplexStructure:
     def test_circle_oracle(self, circle, g2):
         # on the (e1, e2)-circle, I e3 = T * e3 with T = (-sin, cos, 0, ...)
-        out = acs_apply(circle, const_field(circle, 2), g2)
+        out = acs_apply(circle, const_field(circle, 2))
         oracle = cross_field(g2, circle.unit_tangent, const_field(circle, 2))
         assert np.allclose(out, oracle, atol=1e-12)
         # at t = 0 the tangent is e2 and e2 * e3 = e1
         assert np.allclose(out[0], np.eye(7)[0], atol=1e-12)
 
-    def test_squares_to_minus_identity_pointwise(self, g2, rng):
+    def test_squares_to_minus_identity_pointwise(self, rng):
         loop = smooth_loop(rng)
         X = smooth_field(rng, loop)
-        twice = acs_apply(loop, acs_apply(loop, X, g2), g2)
+        twice = acs_apply(loop, acs_apply(loop, X))
         assert np.allclose(twice, -X, atol=1e-10 * max(1.0, np.abs(X).max()))
 
-    def test_chart_acs_squares_to_minus_identity(self, g2, rng):
+    def test_chart_acs_squares_to_minus_identity(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X = smooth_field(rng, loop)
         u = 0.05 * smooth_field(rng, loop)
         twice = chart.acs(u, chart.acs(u, X))
         assert np.allclose(twice, -X, atol=1e-10 * max(1.0, np.abs(X).max()))
 
-    def test_isometry_on_normal_fields(self, g2, rng):
+    def test_isometry_on_normal_fields(self, rng):
         loop = smooth_loop(rng)
         X = smooth_field(rng, loop)
-        IX = acs_apply(loop, X, g2)
-        assert hermitian_metric(loop, IX, IX, g2) == pytest.approx(
-            hermitian_metric(loop, X, X, g2), rel=1e-10)
+        IX = acs_apply(loop, X)
+        assert hermitian_metric(loop, IX, IX) == pytest.approx(
+            hermitian_metric(loop, X, X), rel=1e-10)
 
 
 class TestTwoForm:
-    def test_antisymmetry(self, g2, rng):
+    def test_antisymmetry(self, rng):
         loop = smooth_loop(rng)
         X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
-        assert omega(loop, X, Y, g2) == pytest.approx(-omega(loop, Y, X, g2), rel=1e-12)
+        assert omega(loop, X, Y) == pytest.approx(-omega(loop, Y, X), rel=1e-12)
 
-    def test_reparametrization_invariance(self, g2, rng):
+    def test_reparametrization_invariance(self, rng):
         loop = smooth_loop(rng)
         X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
-        val = omega(loop, X, Y, g2)
+        val = omega(loop, X, Y)
         fixed = unit_speed_reparam(loop)
         from g2knot.loops import arclength_params
         t = arclength_params(loop)
         Xr = trig_interpolate(X, t)
         Yr = trig_interpolate(Y, t)
-        assert omega(fixed, Xr, Yr, g2) == pytest.approx(val, rel=1e-8)
+        assert omega(fixed, Xr, Yr) == pytest.approx(val, rel=1e-8)
 
-    def test_compatibility_with_metric(self, g2, rng):
+    def test_compatibility_with_metric(self, rng):
         loop = smooth_loop(rng)
         X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
-        IX = acs_apply(loop, X, g2)
-        assert omega(loop, X, Y, g2) == pytest.approx(
-            OMEGA_METRIC_SIGN * hermitian_metric(loop, IX, Y, g2), rel=1e-10)
+        IX = acs_apply(loop, X)
+        assert omega(loop, X, Y) == pytest.approx(
+            OMEGA_METRIC_SIGN * hermitian_metric(loop, IX, Y), rel=1e-10)
 
-    def test_invariance_under_acs(self, g2, rng):
+    def test_invariance_under_acs(self, rng):
         loop = smooth_loop(rng)
         X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
-        IX = acs_apply(loop, X, g2)
-        IY = acs_apply(loop, Y, g2)
-        assert omega(loop, IX, IY, g2) == pytest.approx(omega(loop, X, Y, g2), rel=1e-10)
+        IX = acs_apply(loop, X)
+        IY = acs_apply(loop, Y)
+        assert omega(loop, IX, IY) == pytest.approx(omega(loop, X, Y), rel=1e-10)
 
-    def test_closedness_exact_route(self, g2, rng):
+    def test_closedness_exact_route(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X, Y, Z = (smooth_field(rng, loop) for _ in range(3))
         assert abs(d_omega(chart, X, Y, Z)) < 1e-10
 
-    def test_closedness_fd_route_matches(self, g2, rng):
+    def test_closedness_fd_route_matches(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X, Y, Z = (smooth_field(rng, loop) for _ in range(3))
         assert abs(d_omega_fd(chart, X, Y, Z, 1e-4)) < 1e-6
 
-    def test_step_validation(self, g2, rng):
+    def test_step_validation(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X, Y, Z = (smooth_field(rng, loop) for _ in range(3))
         with pytest.raises(StepOutOfRange):
             d_omega_fd(chart, X, Y, Z, 1.0)
 
 
 class TestChartBracket:
-    def test_constant_fields_commute(self, g2, rng):
+    def test_constant_fields_commute(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X = smooth_field(rng, loop)
         Y = smooth_field(rng, loop)
         zero = np.zeros_like(X)
         br = chart_bracket(chart, lambda u: X, lambda u: Y, zero, 1e-4)
         assert np.abs(br).max() < 1e-12
 
-    def test_linear_field_bracket_oracle(self, g2, rng):
+    def test_linear_field_bracket_oracle(self, rng):
         # [X, f X] = (X f) X for a chart-linear scalar coefficient
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X = smooth_field(rng, loop)
         W = smooth_field(rng, loop)
         # f(u) = <W, u> integrated: A = X constant, B(u) = f(u) X
@@ -166,7 +159,7 @@ class TestNijenhuis:
         # explicit witness: on the unit circle the Nijenhuis tensor applied to
         # the constant normal fields e3, e4 equals -(T * e4), with unit sup
         # norm, so the almost complex structure is not formally integrable
-        chart = KnotChart(circle, g2)
+        chart = KnotChart(circle)
         X = const_field(circle, 2)
         Y = const_field(circle, 3)
         nij = nijenhuis(chart, X, Y, 1e-4)
@@ -174,51 +167,26 @@ class TestNijenhuis:
         assert np.allclose(nij, expected, atol=1e-6)
         assert np.abs(nij).max() == pytest.approx(1.0, abs=1e-7)
 
-    def test_witness_is_step_independent(self, g2, circle):
+    def test_witness_is_step_independent(self, circle):
         # the residual is a genuine tensor value, not a discretization artifact
-        chart = KnotChart(circle, g2)
+        chart = KnotChart(circle)
         X = const_field(circle, 2)
         Y = const_field(circle, 3)
         sups = [np.abs(nijenhuis(chart, X, Y, h)).max() for h in (2e-4, 1e-4, 5e-5)]
         assert np.allclose(sups, 1.0, atol=1e-6)
 
-    def test_antisymmetry(self, g2, rng):
+    def test_antisymmetry(self, rng):
         loop = smooth_loop(rng)
-        chart = KnotChart(loop, g2)
+        chart = KnotChart(loop)
         X = smooth_field(rng, loop)
         Y = smooth_field(rng, loop)
         nxy = nijenhuis(chart, X, Y, 1e-4)
         nyx = nijenhuis(chart, Y, X, 1e-4)
         assert np.allclose(nxy, -nyx, atol=1e-5 * max(1.0, np.abs(nxy).max()))
 
-    def test_vanishes_on_parallel_arguments(self, g2, circle):
-        chart = KnotChart(circle, g2)
+    def test_vanishes_on_parallel_arguments(self, circle):
+        chart = KnotChart(circle)
         X = const_field(circle, 2)
         nij = nijenhuis(chart, X, 2.0 * X, 1e-4)
         assert np.abs(nij).max() < 1e-6
 
-
-class TestFlatGuard:
-    """The knot-space layers contract with the Euclidean metric, so they must
-    reject a structure whose metric is not the identity."""
-
-    def test_scaled_structure_rejected(self, circle):
-        scaled = metric_from_three_form(8.0 * standard_phi())  # metric 4 I
-        X = const_field(circle, 2)
-        lift = lknot_lift(circle)
-        split = lift_tangent(lift, X)
-        with pytest.raises(ValueError):
-            KnotChart(circle, scaled)
-        with pytest.raises(ValueError):
-            omega(circle, X, X, scaled)
-        with pytest.raises(ValueError):
-            omega3_eval(lift, split, split, split, g2=scaled)
-
-    @pytest.mark.parametrize("structure", [None, standard_g2()])
-    def test_standard_structure_accepted(self, circle, structure):
-        X = const_field(circle, 2)
-        lift = lknot_lift(circle)
-        split = lift_tangent(lift, X)
-        assert KnotChart(circle, structure).g2 is standard_g2()
-        assert abs(omega(circle, X, X, structure)) < 1e-12
-        assert abs(omega3_eval(lift, split, split, split, g2=structure)) < 1e-12

@@ -224,6 +224,8 @@ class TestLoop7:
     def test_fourier_aliasing_guard(self, rng):
         with pytest.raises(ValueError):
             FourierLoopSpec(np.zeros((9, 7)), np.zeros((9, 7)), 16)
+        with pytest.raises(ValueError):  # empty spectrum: no modes at all
+            FourierLoopSpec(np.zeros((0, 7)), np.zeros((0, 7)), 64)
 
 
 class TestReparametrization:

@@ -5,24 +5,18 @@ derivative identity, and the Cartan bracket pairing."""
 import numpy as np
 import pytest
 
-from g2knot.algebra import cross_field, standard_g2
+from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
 from g2knot.knots import KnotChart, nijenhuis
 from g2knot.loops import (FourierLoopSpec, circle_loop, integrate,
                           loop_from_fourier, normal_project,
                           spectral_derivative)
-from g2knot.twistor import (LKnotLift, SplitTangent, cartan_check,
-                            covariant_split, d_omega3_vs_xi, lift_tangent,
-                            lift_tangent_fd, lknot_lift, omega3_eval, xi_eval,
-                            xi_tilde)
+from g2knot.twistor import (SplitTangent, cartan_check, covariant_split,
+                            d_omega3_vs_xi, lift_tangent, lift_tangent_fd,
+                            lknot_lift, omega3_eval, xi_eval, xi_tilde)
 from g2knot.verify import random_loop, random_normal_field
 
 N = 512
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return standard_g2()
 
 
 def smooth_loop(rng, n=N, k_max=5):
@@ -67,14 +61,7 @@ class TestLift:
         _, lift, _ = fixture
         assert lift.base.is_constant_speed(1e-6)
         assert np.allclose(np.linalg.norm(lift.sphere_curve, axis=1), 1.0, atol=1e-12)
-
-    def test_lift_validation(self):
-        loop = circle_loop(64)
-        with pytest.raises(ValueError):
-            LKnotLift(loop, np.zeros((64, 7)))
-        rolled = np.roll(loop.unit_tangent, 5, axis=0)
-        with pytest.raises(ValueError):
-            LKnotLift(loop, rolled)
+        assert np.array_equal(lift.sphere_curve, lift.base.unit_tangent)
 
     def test_split_matches_fd_oracle(self, fixture):
         _, lift, fields = fixture
@@ -125,113 +112,113 @@ class TestComplexThreeForm:
     def test_type_30_identity(self, fixture, g2):
         _, lift, fields = fixture
         splits = [lift_tangent(lift, X) for X in fields[:3]]
-        val = omega3_eval(lift, *splits, g2=g2)
+        val = omega3_eval(lift, *splits)
         v = lift.sphere_curve
         A = splits[0].horizontal
         JA = cross_field(g2, v, A - np.einsum("ni,ni->n", A, v)[:, None] * v)
         rotated = omega3_eval(lift, SplitTangent(splits[0].vertical, JA),
-                              splits[1], splits[2], g2=g2)
+                              splits[1], splits[2])
         assert abs(rotated - 1j * val) < 1e-10 * max(abs(val), 1.0)
 
-    def test_antisymmetry(self, fixture, g2):
+    def test_antisymmetry(self, fixture):
         _, lift, fields = fixture
         a, b, c = [lift_tangent(lift, X) for X in fields[:3]]
-        assert omega3_eval(lift, a, b, c, g2=g2) == pytest.approx(
-            -omega3_eval(lift, b, a, c, g2=g2), rel=1e-12)
+        assert omega3_eval(lift, a, b, c) == pytest.approx(
+            -omega3_eval(lift, b, a, c), rel=1e-12)
 
-    def test_imaginary_part_degenerates_along_axis(self, fixture, g2):
+    def test_imaginary_part_degenerates_along_axis(self, fixture):
         # the imaginary part contracts the 4-form with the axis twice, so it
         # vanishes when a horizontal argument points along the axis
         _, lift, fields = fixture
         along = SplitTangent(np.zeros_like(fields[0]), lift.sphere_curve.copy())
         b, c = [lift_tangent(lift, X) for X in fields[1:3]]
-        assert abs(omega3_eval(lift, along, b, c, g2=g2).imag) < 1e-10
+        assert abs(omega3_eval(lift, along, b, c).imag) < 1e-10
 
-    def test_nondegenerate_on_type_10_frame(self, fixture, g2):
+    def test_nondegenerate_on_type_10_frame(self, fixture):
         from g2knot.knots import acs_apply
         _, lift, fields = fixture
         base = lift.base
-        A = 0.5 * (fields[0] - 1j * acs_apply(base, fields[0], g2))
+        A = 0.5 * (fields[0] - 1j * acs_apply(base, fields[0]))
         best = 0.0
         for j in range(3):
-            B = 0.5 * (fields[1 + j % 3] - 1j * acs_apply(base, fields[1 + j % 3], g2))
-            C = 0.5 * (fields[(2 + j) % 4] - 1j * acs_apply(base, fields[(2 + j) % 4], g2))
+            B = 0.5 * (fields[1 + j % 3] - 1j * acs_apply(base, fields[1 + j % 3]))
+            C = 0.5 * (fields[(2 + j) % 4] - 1j * acs_apply(base, fields[(2 + j) % 4]))
             sa, sb, sc = (SplitTangent(np.zeros_like(F), F) for F in (A, B, C))
-            best = max(best, abs(omega3_eval(lift, sa, sb, sc, g2=g2)))
+            best = max(best, abs(omega3_eval(lift, sa, sb, sc)))
         assert best > 0.1
 
 
 class TestFourFormPairing:
-    def test_vanishes_on_two_verticals(self, fixture, g2):
+    def test_vanishes_on_two_verticals(self, fixture):
         rng, lift, fields = fixture
         vert1 = SplitTangent(fiber_field(rng, lift), np.zeros_like(fields[0]))
         vert2 = SplitTangent(fiber_field(rng, lift), np.zeros_like(fields[0]))
         w3 = lift_tangent(lift, fields[2])
         w4 = lift_tangent(lift, fields[3])
-        vals = xi_eval(g2, lift.sphere_curve, vert1, vert2, w3, w4)
+        vals = xi_eval(lift.sphere_curve, vert1, vert2, w3, w4)
         assert np.abs(vals).max() < 1e-12
 
-    def test_vanishes_on_all_horizontals(self, fixture, g2):
+    def test_vanishes_on_all_horizontals(self, fixture):
         _, lift, fields = fixture
         ws = [SplitTangent(np.zeros_like(X), X) for X in fields]
-        assert np.abs(xi_eval(g2, lift.sphere_curve, *ws)).max() < 1e-14
+        assert np.abs(xi_eval(lift.sphere_curve, *ws)).max() < 1e-14
 
-    def test_antisymmetry(self, fixture, g2):
+    def test_antisymmetry(self, fixture):
         rng, lift, fields = fixture
         ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
-        v12 = xi_eval(g2, lift.sphere_curve, ws[0], ws[1], ws[2], ws[3])
-        v21 = xi_eval(g2, lift.sphere_curve, ws[1], ws[0], ws[2], ws[3])
+        v12 = xi_eval(lift.sphere_curve, ws[0], ws[1], ws[2], ws[3])
+        v21 = xi_eval(lift.sphere_curve, ws[1], ws[0], ws[2], ws[3])
         assert np.allclose(v12, -v21, atol=1e-12 * max(1.0, np.abs(v12).max()))
 
-    def test_integral_vanishes_on_tangent_lift(self, fixture, g2):
+    def test_integral_vanishes_on_tangent_lift(self, fixture):
         # with the covariant splitting the integrand is a total derivative
         _, lift, fields = fixture
-        assert abs(xi_tilde(lift, *fields, g2=g2)) < 1e-8
+        assert abs(xi_tilde(lift, *fields)) < 1e-8
 
-    def test_projected_verticals_break_the_vanishing(self, fixture, g2):
+    def test_projected_verticals_break_the_vanishing(self, fixture):
         # with the orthogonally projected (honest) verticals of lift_tangent
         # the same integral is the exterior derivative of the 3-form along the
         # lifted knot family and is generically of order one: the vanishing
         # above depends on the unprojected fiber convention
         _, lift, fields = fixture
         ws = [lift_tangent(lift, X) for X in fields]
-        honest = integrate(lift.base, xi_eval(g2, lift.sphere_curve, *ws))
+        honest = integrate(lift.base, xi_eval(lift.sphere_curve, *ws))
         assert abs(honest) > 1e-2
 
 
 class TestExteriorDerivativeIdentity:
-    def test_d_omega3_equals_i_xi(self, fixture, g2):
+    def test_d_omega3_equals_i_xi(self, fixture):
         rng, lift, fields = fixture
         ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
-        lhs, rhs = d_omega3_vs_xi(lift, *ws, h=1e-4, g2=g2)
+        lhs, rhs = d_omega3_vs_xi(lift, *ws, h=1e-4)
         assert abs(lhs - rhs) < 1e-5 * max(abs(rhs), 1.0)
 
-    def test_identity_on_tangent_lift_arguments(self, fixture, g2):
+    def test_identity_on_tangent_lift_arguments(self, fixture):
         # the same identity holds on the honest lifted tangents, confirming
         # that their nonzero pairing above is a derivative of the 3-form
         _, lift, fields = fixture
         ws = [lift_tangent(lift, X) for X in fields]
-        lhs, rhs = d_omega3_vs_xi(lift, *ws, h=1e-4, g2=g2)
+        lhs, rhs = d_omega3_vs_xi(lift, *ws, h=1e-4)
         assert abs(lhs - rhs) < 1e-5 * max(abs(rhs), 1.0)
         assert abs(rhs) > 1e-2
 
-    def test_step_validation(self, fixture, g2):
+    def test_step_validation(self, fixture):
         rng, lift, fields = fixture
         ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
         with pytest.raises(StepOutOfRange):
-            d_omega3_vs_xi(lift, *ws, h=1.0, g2=g2)
+            d_omega3_vs_xi(lift, *ws, h=1.0)
 
 
 class TestCartanPairing:
-    def test_tracks_nijenhuis_obstruction(self, g2):
+    def test_tracks_nijenhuis_obstruction(self):
         # the pairing of the 3-form with a bracket of (0,1)-fields is nonzero
         # of the same order as the Nijenhuis residual (within a factor 100)
         rng = np.random.default_rng(99)
         loop = smooth_loop(rng, n=256)
         lift = lknot_lift(loop)
         fields = [smooth_field(rng, lift.base) for _ in range(4)]
-        cc = cartan_check(lift, *fields, h=1e-4, g2=g2)
-        chart = KnotChart(lift.base, g2)
+        cc = cartan_check(lift, *fields, h=1e-4)
+        chart = KnotChart(lift.base)
         nij = np.abs(nijenhuis(chart, fields[0], fields[1], 1e-4)).max()
         scale = np.prod([np.abs(F).max() for F in fields])
         assert abs(cc) > 1e-6
@@ -239,8 +226,8 @@ class TestCartanPairing:
                                                * np.abs(fields[1]).max()), 1e-30)
         assert 1e-2 < ratio < 1e2
 
-    def test_step_validation(self, g2):
+    def test_step_validation(self):
         lift = lknot_lift(circle_loop(64))
         X = np.tile(np.eye(7)[2], (64, 1))
         with pytest.raises(StepOutOfRange):
-            cartan_check(lift, X, X, X, X, h=1.0, g2=g2)
+            cartan_check(lift, X, X, X, X, h=1.0)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from g2knot import twistor
-from g2knot.algebra import standard_g2
 from g2knot.errors import ConfigError
 from g2knot.loops import normal_project
 from g2knot.verify import (SUITES, SuiteReport, VerifyConfig,
@@ -79,6 +78,10 @@ class TestConfig:
             VerifyConfig(tolerances={"nijenhuis": -1.0})
         with pytest.raises(ConfigError):
             VerifyConfig(tolerances={"no_such_key": 1.0})
+        # a boolean is not a tolerance, and an infinite or nan one never decides
+        for bad in (True, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                VerifyConfig(tolerances={"cartan": bad})
 
 
 class TestEnsemble:
@@ -142,19 +145,18 @@ class TestDeterminism:
 
 class TestNondegeneracyProbe:
     def test_table_matches_per_pair_evaluation(self):
-        g2 = standard_g2()
         rng = np.random.default_rng(31)
         lift = twistor.lknot_lift(random_loop(rng, 256, 5))
         X = random_normal_field(rng, lift.base, 5)
-        table, denom = _nondegeneracy_table(lift, X, g2)
-        A = _type_10_field(lift.base, X, g2)
-        F = [_type_10_field(lift.base, normal_project(lift.base, np.tile(e, (256, 1))), g2)
+        table, denom = _nondegeneracy_table(lift, X)
+        A = _type_10_field(lift.base, X)
+        F = [_type_10_field(lift.base, normal_project(lift.base, np.tile(e, (256, 1))))
              for e in np.eye(7)]
         ref = np.zeros((7, 7), dtype=complex)
         for j in range(7):
             for k in range(j + 1, 7):
                 split = [twistor.SplitTangent(np.zeros_like(W), W) for W in (A, F[j], F[k])]
-                ref[j, k] = twistor.omega3_eval(lift, *split, g2=g2)
+                ref[j, k] = twistor.omega3_eval(lift, *split)
                 assert denom[j, k] == np.abs(A).max() * np.abs(F[j]).max() * np.abs(F[k]).max()
         upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
         assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()

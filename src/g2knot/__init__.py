@@ -4,7 +4,7 @@ product, spectral loop calculus, knot-space forms, sphere-bundle lifts,
 instanton conditions, and orchestrated verification suites.
 """
 
-from .algebra import (G2Structure, Octonion, Su3VolumeForm, cross, cross_field,
+from .algebra import (G2Structure, Octonion, cross, cross_field,
                       complex_structure_apply, hermitian_trace_vector,
                       is_associative, lie_action_on_rho, metric_from_three_form,
                       octonion_mul, standard_g2,

@@ -1,6 +1,6 @@
 """The G2 structure on R^7: metric from a 3-form, cross product, octonions,
-the pointwise complex structures J_v, the SU(3) volume form, the 7+14 split
-of 2-forms, and associativity of 3-planes.
+the pointwise complex structures J_v and complex 3-forms Omega_v, the 7+14
+split of 2-forms, and associativity of 3-planes.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class G2Structure:
         ct = np.tensordot(self.rho_tensor, self.metric_inv, axes=([2], [0]))
         object.__setattr__(self, "cross_tensor", ct)
 
-    @property
-    def vol(self) -> AltForm:
-        return AltForm(DIM, np.array([self.vol_coeff]))
-
     def inner(self, x, y) -> float:
         return float(np.asarray(x) @ self.metric @ np.asarray(y))
 
@@ -98,8 +94,16 @@ def metric_from_three_form(rho: AltForm) -> G2Structure:
 
 @lru_cache(maxsize=1)
 def standard_g2() -> G2Structure:
-    """The flat G2 structure induced by standard_phi (identity metric)."""
-    return metric_from_three_form(standard_phi())
+    """The flat G2 structure of standard_phi: identity metric, unit volume and
+    psi0 = *phi0 = e4567 + e2367 + e2345 + e1357 - e1346 - e1256 - e1247
+    (1-based), written out; metric_from_three_form(standard_phi()) derives
+    the same structure through 56 wedges and a Hodge star.
+    """
+    psi0 = AltForm.from_terms(4, {
+        (3, 4, 5, 6): 1.0, (1, 2, 5, 6): 1.0, (1, 2, 3, 4): 1.0, (0, 2, 4, 6): 1.0,
+        (0, 2, 3, 5): -1.0, (0, 1, 4, 5): -1.0, (0, 1, 3, 6): -1.0,
+    })
+    return G2Structure(rho=standard_phi(), metric=np.eye(DIM), vol_coeff=1.0, rho_star=psi0)
 
 
 def _pairs(a, b) -> np.ndarray:
@@ -158,17 +162,11 @@ def octonion_mul(a: Octonion, b: Octonion, g2: G2Structure) -> Octonion:
     return Octonion(imag=imag, real=real)
 
 
-def _unit_axis(g2: G2Structure, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if abs(g2.vnorm(v) - 1.0) > UNIT_AXIS_TOL:
-        raise NonUnitAxis(f"|v| = {g2.vnorm(v)!r} is not 1 within {UNIT_AXIS_TOL}")
-    return v
-
-
 def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
     """J_v(x) = v ⋆ (x - g(x,v) v) for a unit axis v."""
-    v = _unit_axis(g2, v)
-    x = np.asarray(x, dtype=float)
+    v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+    if abs(g2.vnorm(v) - 1.0) > UNIT_AXIS_TOL:
+        raise NonUnitAxis(f"|v| = {g2.vnorm(v)!r} is not 1 within {UNIT_AXIS_TOL}")
     return cross(g2, v, x - g2.inner(x, v) * v)
 
 
@@ -185,27 +183,6 @@ def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
                      B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (N,7) argument arrays."""
     return np.einsum("...ij,...i,...j->...", omega3_slot(g2, v, A), B, C)
-
-
-class Su3VolumeForm:
-    """The complex (3,0) volume form on v^perp for a unit axis v.
-
-    Omega_v(a,b,c) = rho(a',b',c') - i rho*(v,a',b',c') on projections a',b',c'
-    to v^perp.  The sign of the imaginary part is fixed so that
-    Omega_v(J_v a, b, c) = i Omega_v(a,b,c).
-    """
-
-    def __init__(self, g2: G2Structure, v):
-        self.g2 = g2
-        self.v = _unit_axis(g2, v)
-
-    def _project(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        return x - (x @ self.g2.metric @ self.v) * self.v
-
-    def __call__(self, a, b, c) -> complex:
-        a, b, c = (self._project(x)[None] for x in (a, b, c))
-        return complex(omega3_integrand(self.g2, self.v[None], a, b, c)[0])
 
 
 def two_form_operator_matrix(g2: G2Structure) -> np.ndarray:

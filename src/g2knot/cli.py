@@ -1,8 +1,8 @@
 """Command-line interface: algebra queries, loop fixtures, verification
 suites, and report digests.
 
-Vector syntax: basis combinations like "e1" or "e1+2.5e4", or a comma
-separated 7-tuple.  Form syntax: signed multi-index terms with 1-based
+Vector syntax: basis combinations like "e1", "e1+2.5e4" or "1e-05*e3", or a
+comma separated 7-tuple.  Form syntax: signed multi-index terms with 1-based
 indices, e.g. "+123 -257" for a 3-form or "+12 -47" for a 2-form.
 """
 
@@ -24,13 +24,15 @@ from .forms import AltForm, multi_indices
 from .loops import (circle_loop, loop_from_json, loop_to_json, require_resolved,
                     unit_speed_reparam)
 
-_BASIS_TERM = re.compile(r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\s*e([1-7])")
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_STARRED = rf"{_NUMBER}(?:[eE][+-]?\d+)?\*"  # "1e-05*": '*' closes a coefficient with an exponent
+_BASIS_TERM = re.compile(rf"([+-]?)({_STARRED}|{_NUMBER})?\s*e([1-7])")
 # A coefficient within DISPLAY_TOL of 0 is left out; one within it of +-1 prints bare.
 DISPLAY_TOL = 1e-12
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """Parse 'e1', 'e1+2.5e4', or a comma-separated 7-tuple."""
+    """Parse 'e1', 'e1+2.5e4', '-1e-05*e3', or a comma-separated 7-tuple."""
     text = text.strip()
     if "," in text:
         parts = [float(p) for p in text.split(",")]
@@ -43,14 +45,9 @@ def parse_vector(text: str) -> np.ndarray:
     for m in _BASIS_TERM.finditer(text):
         if text[pos:m.start()].strip():
             raise ValueError(f"could not parse vector segment {text[pos:m.start()]!r}")
-        coeff_text = m.group(1)
-        if coeff_text in ("", "+"):
-            coeff = 1.0
-        elif coeff_text == "-":
-            coeff = -1.0
-        else:
-            coeff = float(coeff_text)
-        vec[int(m.group(2)) - 1] += coeff
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coeff = float(m.group(2).rstrip("*")) if m.group(2) else 1.0
+        vec[int(m.group(3)) - 1] += sign * coeff
         pos = m.end()
         matched = True
     if not matched or text[pos:].strip():
@@ -66,14 +63,15 @@ def _finite(value, text: str):
 
 
 def format_vector(vec: np.ndarray) -> str:
-    """Inverse of parse_vector for display, e.g. 'e3' or '1.5e1-2e4'."""
+    """Inverse of parse_vector, e.g. 'e3' or '1.5*e1-2.0*e4': a coefficient
+    prints in full (repr) unless it is within DISPLAY_TOL of 1."""
     parts = []
     for i, c in enumerate(np.asarray(vec, dtype=float)):
         if abs(c) <= DISPLAY_TOL:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        coeff = "" if abs(mag - 1.0) <= DISPLAY_TOL else f"{mag:g}"
+        coeff = "" if abs(mag - 1.0) <= DISPLAY_TOL else f"{float(mag)!r}*"
         parts.append(f"{sign}{coeff}e{i + 1}")
     return "".join(parts) if parts else "0"
 
@@ -87,7 +85,7 @@ def parse_form(text: str) -> AltForm:
     terms = {}
     degree = None
     for tok in tokens:
-        m = re.fullmatch(r"([+-]?)((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\*)?([1-7]+)", tok)
+        m = re.fullmatch(rf"([+-]?)({_STARRED})?([1-7]+)", tok)
         if m is None:
             raise ValueError(f"could not parse form term {tok!r}")
         sign = -1.0 if m.group(1) == "-" else 1.0

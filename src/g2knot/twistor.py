@@ -106,7 +106,7 @@ def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
     return complex(integrate(lift.base, vals))
 
 
-def xi_eval(v: np.ndarray, W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
+def xi_eval(W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
             W4: SplitTangent) -> np.ndarray:
     """Pointwise 4-form pairing d(complex 3-form) with the tangent splitting.
 
@@ -134,7 +134,7 @@ def xi_tilde(lift: LKnotLift, X1, X2, X3, X4) -> float:
     tests for the measured gap.
     """
     ws = [covariant_split(lift, np.asarray(X, dtype=float)) for X in (X1, X2, X3, X4)]
-    vals = xi_eval(lift.sphere_curve, *ws)
+    vals = xi_eval(*ws)
     return float(integrate(lift.base, vals))
 
 
@@ -187,5 +187,5 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
     for a in range(4):
         rest = args[:a] + args[a + 1:]
         lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, *rest), args[a].vertical, h)
-    rhs = 1j * integrate(lift.base, xi_eval(base_v, *args))
+    rhs = 1j * integrate(lift.base, xi_eval(*args))
     return lhs, complex(rhs)

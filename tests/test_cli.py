@@ -43,6 +43,18 @@ class TestVectorParsing:
     def test_format_roundtrip(self):
         v = parse_vector("e1-2e4+0.5e7")
         assert np.allclose(parse_vector(format_vector(v)), v)
+        # a coefficient prints as repr(c)*eK, exponent and all 17 digits
+        rng = np.random.default_rng(5)
+        for scale in (1e-7, 1.0, 1e7):
+            for _ in range(20):
+                v = scale * rng.standard_normal(7)
+                v[rng.integers(7)] = 0.0
+                assert np.array_equal(parse_vector(format_vector(v)), v)
+        assert format_vector(1e-5 * np.eye(7)[2]) == "1e-05*e3"
+        assert format_vector(-np.eye(7)[2]) == "-e3"
+        assert format_vector(np.zeros(7)) == "0"
+        assert np.array_equal(parse_vector("1.5e+16*e1-2.5e-07*e2+3*e7"),
+                              [1.5e16, -2.5e-7, 0, 0, 0, 0, 3.0])
 
 
 class TestFormParsing:
@@ -108,6 +120,11 @@ class TestAlgebraCommands:
     def test_cross_golden(self, capsys):
         assert run(["algebra", "cross", "--x", "e1", "--y", "e2"]) == 0
         assert capsys.readouterr().out.strip() == "e3"
+        # a small coefficient prints in a form that parses back
+        assert run(["algebra", "cross", "--x", "0.00001e1", "--y", "e2"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == "1e-05*e3"
+        assert np.array_equal(parse_vector(out), 1e-5 * np.eye(7)[2])
 
     def test_octonion_golden(self, capsys):
         assert run(["algebra", "octonion", "--x", "e1", "--y", "e1"]) == 0

@@ -155,19 +155,19 @@ class TestFourFormPairing:
         vert2 = SplitTangent(fiber_field(rng, lift), np.zeros_like(fields[0]))
         w3 = lift_tangent(lift, fields[2])
         w4 = lift_tangent(lift, fields[3])
-        vals = xi_eval(lift.sphere_curve, vert1, vert2, w3, w4)
+        vals = xi_eval(vert1, vert2, w3, w4)
         assert np.abs(vals).max() < 1e-12
 
     def test_vanishes_on_all_horizontals(self, fixture):
         _, lift, fields = fixture
         ws = [SplitTangent(np.zeros_like(X), X) for X in fields]
-        assert np.abs(xi_eval(lift.sphere_curve, *ws)).max() < 1e-14
+        assert np.abs(xi_eval(*ws)).max() < 1e-14
 
     def test_antisymmetry(self, fixture):
         rng, lift, fields = fixture
         ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
-        v12 = xi_eval(lift.sphere_curve, ws[0], ws[1], ws[2], ws[3])
-        v21 = xi_eval(lift.sphere_curve, ws[1], ws[0], ws[2], ws[3])
+        v12 = xi_eval(ws[0], ws[1], ws[2], ws[3])
+        v21 = xi_eval(ws[1], ws[0], ws[2], ws[3])
         assert np.allclose(v12, -v21, atol=1e-12 * max(1.0, np.abs(v12).max()))
 
     def test_integral_vanishes_on_tangent_lift(self, fixture):
@@ -182,7 +182,7 @@ class TestFourFormPairing:
         # above depends on the unprojected fiber convention
         _, lift, fields = fixture
         ws = [lift_tangent(lift, X) for X in fields]
-        honest = integrate(lift.base, xi_eval(lift.sphere_curve, *ws))
+        honest = integrate(lift.base, xi_eval(*ws))
         assert abs(honest) > 1e-2
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateForm, DegenerateSpan, NonUnitAxis
-from .forms import DIM, AltForm, contract, hodge_star, multi_indices, wedge
+from .forms import DIM, AltForm, contract, hodge_star, table, wedge
 
 UNIT_AXIS_TOL = 1e-12
 ASSOCIATIVE_TOL = 1e-8
@@ -191,7 +191,7 @@ def two_form_operator_matrix(g2: G2Structure) -> np.ndarray:
     L maps e^{kl} to psi_{ij}^{kl} e^{ij} with psi = *rho, so the matrix is
     psi on increasing pairs (i<j), (k<l), its last two indices raised.
     """
-    flat = np.array(multi_indices(2)) @ (DIM, 1)
+    flat = table(2).increasing
     raised = (g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)
               @ np.kron(g2.metric_inv, g2.metric_inv))
     return raised[np.ix_(flat, flat)]
@@ -235,10 +235,7 @@ def lie_action_on_rho(g2: G2Structure, beta: AltForm) -> AltForm:
     acted = (np.einsum("il,ljk->ijk", A, t)
              + np.einsum("jl,ilk->ijk", A, t)
              + np.einsum("kl,ijl->ijk", A, t))
-    out = AltForm(3)
-    for pos, idx in enumerate(multi_indices(3)):
-        out.coeffs[pos] = acted[idx]
-    return out
+    return AltForm(3, acted.take(table(3).increasing))
 
 
 def is_associative(g2: G2Structure, u, v, w) -> tuple[bool, float]:

@@ -2,7 +2,8 @@
 
 A degree-k form is stored as its C(7,k) coefficients on strictly increasing
 multi-indices over {0,...,6}, ordered lexicographically (the order produced by
-itertools.combinations).
+itertools.combinations). Every operation reads one cached table per degree
+that gives each ordered multi-index its storage slot and sorting sign.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,23 +24,50 @@ def multi_indices(degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(DIM), degree))
 
 
+class Table(NamedTuple):
+    """Every ordered multi-index of distinct entries of one degree, by slot,
+    then in itertools.permutations order (the increasing one first)."""
+
+    slots: np.ndarray       # storage slot of each row's sorted multi-index
+    signs: np.ndarray       # sign of each row's sorting permutation
+    flat: np.ndarray        # position of each row in a flattened (7,)*k tensor
+    increasing: np.ndarray  # flat position of each slot's increasing multi-index
+    lookup: dict            # row tuple -> (slot, sign)
+
+
 @lru_cache(maxsize=None)
-def index_position(degree: int) -> dict[tuple[int, ...], int]:
-    """Map from increasing multi-index to its storage slot."""
-    return {idx: p for p, idx in enumerate(multi_indices(degree))}
+def table(degree: int) -> Table:
+    """The table of a degree: one permutation table of range(degree),
+    indexed into the increasing multi-indices."""
+    combos = np.array(multi_indices(degree), dtype=np.intp)
+    perms = np.array(list(itertools.permutations(range(degree))), dtype=np.intp)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    slots = np.repeat(np.arange(len(combos)), len(perms))
+    signs = np.tile(1 - 2 * (inversions % 2), len(combos))
+    rows = combos[:, perms].reshape(slots.size, degree)
+    flat = rows @ DIM ** np.arange(degree - 1, -1, -1)
+    lookup = dict(zip(map(tuple, rows.tolist()), zip(slots.tolist(), signs.tolist())))
+    return Table(slots, signs, flat, flat[::len(perms)], lookup)
 
 
-def _perm_sign(seq) -> int:
-    """Sign of the permutation sorting seq; 0 if entries repeat."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return 0
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def shuffles(k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, l)-shuffles: rows of the degree-(k+l) table whose first k and
+    last l entries both increase, as (slot, sign, head slot, tail slot).
+    Within one slot they come in combinations order of the head."""
+    t, heads, tails = table(k + l), table(k).increasing, table(l).increasing
+    head, tail = np.divmod(t.flat, DIM ** l)
+    keep = np.isin(head, heads) & np.isin(tail, tails)
+    return (t.slots[keep], t.signs[keep],
+            np.searchsorted(heads, head[keep]), np.searchsorted(tails, tail[keep]))
+
+
+def _entry(degree: int, idx) -> tuple[int, int]:
+    """(slot, sign) of an ordered multi-index; sign 0 if an index repeats."""
+    idx = tuple(idx)
+    if len(idx) != degree or not set(idx) <= set(range(DIM)):
+        raise ValueError(f"{idx} is not a degree-{degree} multi-index over 0..{DIM - 1}")
+    return table(degree).lookup.get(idx, (0, 0))
 
 
 class AltForm:
@@ -65,21 +94,16 @@ class AltForm:
     def from_terms(cls, degree: int, terms: dict) -> "AltForm":
         """Build a form from {multi-index: coefficient} with 0-based indices."""
         form = cls(degree)
-        pos = index_position(degree)
         for idx, val in terms.items():
-            idx = tuple(idx)
-            sign = _perm_sign(idx)
-            if sign == 0:
-                raise ValueError(f"repeated index in {idx}")
-            form.coeffs[pos[tuple(sorted(idx))]] += sign * val
+            slot, sign = _entry(degree, idx)
+            if not sign:
+                raise ValueError(f"repeated index in {tuple(idx)}")
+            form.coeffs[slot] += sign * val
         return form
 
     def __getitem__(self, idx) -> float:
-        idx = tuple(idx)
-        sign = _perm_sign(idx)
-        if sign == 0:
-            return 0.0
-        return sign * self.coeffs[index_position(self.degree)[tuple(sorted(idx))]]
+        slot, sign = _entry(self.degree, idx)
+        return sign * self.coeffs[slot] if sign else 0.0
 
     def __add__(self, other: "AltForm") -> "AltForm":
         if self.degree != other.degree:
@@ -105,14 +129,11 @@ class AltForm:
 
     def tensor(self) -> np.ndarray:
         """Full antisymmetric coefficient tensor of shape (7,)*degree."""
-        k = self.degree
-        out = np.zeros((DIM,) * k)
-        for pos, idx in enumerate(multi_indices(k)):
-            c = self.coeffs[pos]
-            if c == 0.0:
-                continue
-            for perm in itertools.permutations(idx):
-                out[perm] = _perm_sign(perm) * c
+        t = table(self.degree)
+        values = self.coeffs[t.slots]
+        nonzero = values != 0.0  # zero coefficients, signed or not, stay +0.0
+        out = np.zeros((DIM,) * self.degree)
+        out.put(t.flat[nonzero], t.signs[nonzero] * values[nonzero])
         return out
 
     def __call__(self, *vectors) -> float:
@@ -137,17 +158,8 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     k, l = a.degree, b.degree
     if k + l > DIM:
         raise ValueError(f"wedge degree {k}+{l} exceeds {DIM}")
-    out = AltForm(k + l)
-    pos_a = index_position(k)
-    pos_b = index_position(l)
-    for pos, idx in enumerate(multi_indices(k + l)):
-        acc = 0.0
-        for sub in itertools.combinations(idx, k):
-            rest = tuple(i for i in idx if i not in sub)
-            sign = _perm_sign(sub + rest)
-            acc += sign * a.coeffs[pos_a[sub]] * b.coeffs[pos_b[rest]]
-        out.coeffs[pos] = acc
-    return out
+    slots, signs, head, tail = shuffles(k, l)
+    return AltForm(k + l, np.bincount(slots, signs * a.coeffs[head] * b.coeffs[tail]))
 
 
 def contract(a: AltForm, x: np.ndarray) -> AltForm:
@@ -156,19 +168,11 @@ def contract(a: AltForm, x: np.ndarray) -> AltForm:
     if k == 0:
         raise ValueError("cannot contract a 0-form")
     x = np.asarray(x, dtype=float)
-    out = AltForm(k - 1)
-    pos_full = index_position(k)
-    for pos, idx in enumerate(multi_indices(k - 1)):
-        acc = 0.0
-        for i in range(DIM):
-            if i in idx:
-                continue
-            full = tuple(sorted((i,) + idx))
-            # sign moving i to the front of the sorted multi-index
-            sign = (-1) ** full.index(i)
-            acc += x[i] * sign * a.coeffs[pos_full[full]]
-        out.coeffs[pos] = acc
-    return out
+    if x.shape != (DIM,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"expected a finite ({DIM},) vector, got shape {x.shape}")
+    # row (i, J) of the (1, k-1)-shuffles: i moved in front of the sorted i + J
+    slots, signs, head, tail = shuffles(1, k - 1)
+    return AltForm(k - 1, np.bincount(tail, x[head] * signs * a.coeffs[slots]))
 
 
 def hodge_star(a: AltForm, metric: np.ndarray, vol_coeff: float) -> AltForm:
@@ -183,11 +187,9 @@ def hodge_star(a: AltForm, metric: np.ndarray, vol_coeff: float) -> AltForm:
         raised = np.tensordot(raised, ginv, axes=([0], [0]))
         # tensordot moves the contracted axis to the end; k moves restore order
     # (*a)_{I^c} = sign(I, I^c) a^{I} vol_coeff for each increasing I
+    _, signs, head, tail = shuffles(k, DIM - k)
     out = AltForm(DIM - k)
-    pos = index_position(DIM - k)
-    for idx in multi_indices(k):
-        rest = tuple(i for i in range(DIM) if i not in idx)
-        out.coeffs[pos[rest]] = _perm_sign(idx + rest) * raised[idx] * vol_coeff
+    out.coeffs[tail] = signs * raised.take(table(k).increasing[head]) * vol_coeff
     return out
 
 

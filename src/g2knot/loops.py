@@ -124,16 +124,11 @@ def _trig_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def trig_interpolate(values: np.ndarray, t_new: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at t_new."""
+    """Evaluate the trigonometric interpolant of real periodic samples at t_new."""
     values = np.asarray(values)
-    columns = values.reshape(values.shape[0], -1)
     if np.iscomplexobj(values):
-        # real and imaginary parts as extra columns of one evaluation
-        columns = np.concatenate([columns.real, columns.imag], axis=1)
-    out = _trig_eval(*_cos_sin_coeffs(columns), t_new)
-    if np.iscomplexobj(values):
-        half = out.shape[1] // 2
-        out = out[:, :half] + 1j * out[:, half:]
+        raise ValueError("trig_interpolate takes real samples")
+    out = _trig_eval(*_cos_sin_coeffs(values.reshape(values.shape[0], -1)), t_new)
     return out.reshape(out.shape[:1] + values.shape[1:])
 
 

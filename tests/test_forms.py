@@ -1,5 +1,7 @@
 """Exterior algebra on R^7: storage, evaluation, wedge, contraction, Hodge star."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,144 @@ def test_form_validation():
         AltForm(2, np.full(21, np.nan))
     with pytest.raises(ValueError):
         wedge(AltForm(4), AltForm(4))
+
+
+@pytest.mark.parametrize("idx", [(0, 9), (-1, 2), (0, 1, 2), (0,)],
+                         ids=["out_of_range", "negative", "too_long", "too_short"])
+def test_from_terms_rejects_bad_multi_index(idx):
+    with pytest.raises(ValueError, match="not a degree-2 multi-index"):
+        AltForm.from_terms(2, {idx: 1.0})
+
+
+@pytest.mark.parametrize("idx", [(0, 9), (-1, 2), (0, 1, 2), (0,)],
+                         ids=["out_of_range", "negative", "too_long", "too_short"])
+def test_getitem_rejects_bad_multi_index(idx):
+    a = AltForm.from_terms(2, {(0, 1): 1.0})
+    assert a[(3, 3)] == 0.0
+    with pytest.raises(ValueError, match="not a degree-2 multi-index"):
+        a[idx]
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((7, 2)), np.full(7, np.nan),
+                               np.r_[np.inf, np.zeros(6)]], ids=["short", "matrix", "nan", "inf"])
+def test_contract_rejects_bad_vector(x):
+    with pytest.raises(ValueError, match="finite"):
+        contract(basis_form(3, (0, 1, 2)), x)
+
+
+# The loop implementation of the exterior algebra that the table-driven one
+# replaced: one permutation sign per term, summed in the same order.
+
+def ref_perm_sign(seq):
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return 0
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def ref_position(degree):
+    return {idx: p for p, idx in enumerate(multi_indices(degree))}
+
+
+def ref_tensor(a):
+    out = np.zeros((7,) * a.degree)
+    for pos, idx in enumerate(multi_indices(a.degree)):
+        c = a.coeffs[pos]
+        if c == 0.0:
+            continue
+        for perm in itertools.permutations(idx):
+            out[perm] = ref_perm_sign(perm) * c
+    return out
+
+
+def ref_wedge(a, b):
+    k, l = a.degree, b.degree
+    pos_a, pos_b = ref_position(k), ref_position(l)
+    out = np.zeros(len(multi_indices(k + l)))
+    for pos, idx in enumerate(multi_indices(k + l)):
+        acc = 0.0
+        for sub in itertools.combinations(idx, k):
+            rest = tuple(i for i in idx if i not in sub)
+            acc += ref_perm_sign(sub + rest) * a.coeffs[pos_a[sub]] * b.coeffs[pos_b[rest]]
+        out[pos] = acc
+    return out
+
+
+def ref_contract(a, x):
+    k = a.degree
+    pos_full = ref_position(k)
+    out = np.zeros(len(multi_indices(k - 1)))
+    for pos, idx in enumerate(multi_indices(k - 1)):
+        acc = 0.0
+        for i in range(7):
+            if i in idx:
+                continue
+            full = tuple(sorted((i,) + idx))
+            acc += x[i] * (-1) ** full.index(i) * a.coeffs[pos_full[full]]
+        out[pos] = acc
+    return out
+
+
+def ref_hodge_star(a, metric, vol_coeff):
+    k = a.degree
+    ginv = np.linalg.inv(metric)
+    raised = ref_tensor(a)
+    for _ in range(k):
+        raised = np.tensordot(raised, ginv, axes=([0], [0]))
+    pos = ref_position(7 - k)
+    out = np.zeros(len(multi_indices(7 - k)))
+    for idx in multi_indices(k):
+        rest = tuple(i for i in range(7) if i not in idx)
+        out[pos[rest]] = ref_perm_sign(idx + rest) * raised[idx] * vol_coeff
+    return out
+
+
+def signed_zero_form(rng, degree):
+    """A seeded form with some coefficients +0.0 and some -0.0."""
+    c = rng.standard_normal(len(multi_indices(degree)))
+    c[rng.random(c.size) < 0.3] = 0.0
+    c[rng.random(c.size) < 0.3] = -0.0
+    return AltForm(degree, c)
+
+
+class TestReferenceRoute:
+    """Bytewise equality with the loop implementation above, so that every
+    report built on the forms stays byte-identical."""
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_tensor_and_getitem(self, degree):
+        a = signed_zero_form(np.random.default_rng(degree), degree)
+        t = a.tensor()
+        assert t.tobytes() == ref_tensor(a).tobytes()
+        pos = ref_position(degree)
+        for perm in itertools.permutations(range(7), degree):
+            ref = ref_perm_sign(perm) * a.coeffs[pos[tuple(sorted(perm))]]
+            assert np.float64(a[perm]).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("k,l", [(k, l) for k in range(8) for l in range(8 - k)])
+    def test_wedge(self, k, l):
+        rng = np.random.default_rng(10 * k + l)
+        a, b = signed_zero_form(rng, k), signed_zero_form(rng, l)
+        assert wedge(a, b).coeffs.tobytes() == ref_wedge(a, b).tobytes()
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_contract(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        a = signed_zero_form(rng, degree)
+        x = rng.standard_normal(7)
+        x[[1, 4]] = 0.0, -0.0
+        assert contract(a, x).coeffs.tobytes() == ref_contract(a, x).tobytes()
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_hodge_star(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        a = signed_zero_form(rng, degree)
+        m = rng.standard_normal((7, 7))
+        metric = m @ m.T + 7.0 * np.eye(7)
+        for g, vol in ((np.eye(7), 1.0), (metric, 1.7)):
+            assert hodge_star(a, g, vol).coeffs.tobytes() == ref_hodge_star(a, g, vol).tobytes()

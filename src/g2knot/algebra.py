@@ -238,26 +238,40 @@ def lie_action_on_rho(g2: G2Structure, beta: AltForm) -> AltForm:
     return AltForm(3, acted.take(table(3).increasing))
 
 
-def is_associative(g2: G2Structure, u, v, w) -> tuple[bool, float]:
-    """Test whether span(u,v,w) is an associative 3-plane.
+def is_associative(g2: G2Structure, u, v, w):
+    """Test whether span(u,v,w) is an associative 3-plane, batched over the
+    leading axes of (7,) or (..., 7) arguments that broadcast together.
 
     Returns (flag, calibration) where calibration = rho on the orthonormalized
     triple and flag is True when the plane is closed under the vector product
-    to ASSOCIATIVE_TOL.
+    to ASSOCIATIVE_TOL: a Python (bool, float) for one triple, arrays for a
+    stack. DegenerateSpan if any det(gram) < 1e-12 g_uu g_vv g_ww.
     """
-    vecs = [np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(w, dtype=float)]
-    gram = np.array([[g2.inner(a, b) for b in vecs] for a in vecs])
-    if np.linalg.det(gram) < 1e-12:
+    vecs = [np.asarray(a, dtype=float) for a in (u, v, w)]
+    for name, a in zip("uvw", vecs):
+        if a.shape[-1:] != (DIM,) or not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be a finite (..., {DIM}) array, got shape {a.shape}")
+    try:
+        vecs = np.broadcast_arrays(*vecs)
+    except ValueError:
+        raise ValueError(f"u, v, w do not broadcast: shapes {[a.shape for a in vecs]}") from None
+
+    def inner(a, b):  # a batched matmul sums in the order of the (7,) dot product
+        return ((a @ g2.metric)[..., None, :] @ b[..., None])[..., 0, 0]
+    gram = np.array([[inner(a, b) for b in vecs] for a in vecs])  # (3, 3, ...)
+    det = np.linalg.det(np.moveaxis(gram, (0, 1), (-2, -1)))
+    # strict: a zero vector (0 > 0) and an overflowed Gram matrix (inf, nan) fail too
+    if not np.all(det > 1e-12 * gram[0, 0] * gram[1, 1] * gram[2, 2]):
         raise DegenerateSpan("vectors do not span a 3-plane")
     # Gram-Schmidt in the g metric, preserving order/orientation
     ortho = []
     for a in vecs:
         for e in ortho:
-            a = a - g2.inner(a, e) * e
-        ortho.append(a / g2.vnorm(a))
+            a = a - inner(a, e)[..., None] * e
+        ortho.append(a / np.sqrt(np.maximum(inner(a, a), 0.0))[..., None])
     u1, v1, w1 = ortho
-    calibration = float(rho_field(g2, u1, v1, w1))
-    p = cross(g2, u1, v1)
-    residual = p - sum(g2.inner(p, e) * e for e in ortho)
-    flag = g2.vnorm(residual) < ASSOCIATIVE_TOL
-    return flag, calibration
+    calibration = rho_field(g2, u1, v1, w1)
+    p = cross_field(g2, u1, v1)
+    residual = p - sum(inner(p, e)[..., None] * e for e in ortho)
+    flag = np.sqrt(np.maximum(inner(residual, residual), 0.0)) < ASSOCIATIVE_TOL
+    return (bool(flag), float(calibration)) if u1.ndim == 1 else (flag, calibration)

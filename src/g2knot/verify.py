@@ -377,11 +377,9 @@ def _family_calibrations(loop: Loop7, X: np.ndarray, partner,
         moved = Loop7(loop.samples + s * X)
         X_N = normal_project(moved, X)
         P = partner(moved, X_N)
-        T = moved.unit_tangent
-        for t_idx in range(0, moved.n, max(1, moved.n // 16)):
-            _, calib = is_associative(standard_g2(), X_N[t_idx], P[t_idx], T[t_idx])
-            out.append(calib)
-    return np.asarray(out)
+        idx = slice(0, None, max(1, moved.n // 16))
+        out.append(is_associative(standard_g2(), X_N[idx], P[idx], moved.unit_tangent[idx])[1])
+    return np.concatenate(out)
 
 
 def suite_associative(config: VerifyConfig) -> SuiteReport:

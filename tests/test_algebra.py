@@ -10,7 +10,7 @@ from g2knot.algebra import (G2Structure, Octonion, cross,
                             cross_field, complex_structure_apply,
                             hermitian_trace_vector, is_associative,
                             lie_action_on_rho, metric_from_three_form,
-                            octonion_mul, omega3_integrand, standard_g2,
+                            octonion_mul, omega3_integrand, rho_field, standard_g2,
                             standard_phi, two_form_decompose,
                             two_form_operator_matrix)
 from g2knot.errors import DegenerateForm, DegenerateSpan, NonUnitAxis
@@ -329,6 +329,87 @@ class TestAssociativePlanes:
         e = np.eye(7)
         with pytest.raises(DegenerateSpan):
             is_associative(g2, e[0], e[1], e[0] + e[1])
+
+
+def ref_is_associative(g2, u, v, w):
+    """The per-vector associativity test that the stacked one replaced, kept
+    as the reference route (absolute Gram-determinant bound included)."""
+    vecs = [np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(w, dtype=float)]
+    gram = np.array([[g2.inner(a, b) for b in vecs] for a in vecs])
+    if np.linalg.det(gram) < 1e-12:
+        raise DegenerateSpan("vectors do not span a 3-plane")
+    ortho = []
+    for a in vecs:
+        for e in ortho:
+            a = a - g2.inner(a, e) * e
+        ortho.append(a / g2.vnorm(a))
+    u1, v1, w1 = ortho
+    calibration = float(rho_field(g2, u1, v1, w1))
+    p = cross(g2, u1, v1)
+    residual = p - sum(g2.inner(p, e) * e for e in ortho)
+    return g2.vnorm(residual) < 1e-8, calibration
+
+
+def associative_mix(g2, rng, m):
+    """m seeded triples; every other one spans an associative plane."""
+    U, V, W = rng.standard_normal((3, m, 7))
+    W[::2] = cross_field(g2, U[::2], V[::2]) + rng.standard_normal((len(W[::2]), 1)) * U[::2]
+    return U, V, W
+
+
+class TestAssociativeStacks:
+    """The stacked is_associative against the per-vector reference route."""
+
+    @pytest.mark.parametrize("m", [1, 16, 80])
+    def test_rows_match_reference(self, g2, m):
+        U, V, W = associative_mix(g2, np.random.default_rng(m), m)
+        flags, calibs = is_associative(g2, U, V, W)
+        assert flags.shape == calibs.shape == (m,)
+        for i in range(m):
+            ref_flag, ref_calib = ref_is_associative(g2, U[i], V[i], W[i])
+            assert flags[i] == ref_flag
+            assert abs(calibs[i] - ref_calib) <= 1e-15
+        assert flags[::2].all()
+
+    def test_stack_broadcasts_against_one_vector(self, g2):
+        rng = np.random.default_rng(7)
+        U, W = rng.standard_normal((2, 16, 7))
+        v = rng.standard_normal(7)
+        flags, calibs = is_associative(g2, U, v, W)
+        for i in range(16):
+            ref_flag, ref_calib = ref_is_associative(g2, U[i], v, W[i])
+            assert flags[i] == ref_flag
+            assert abs(calibs[i] - ref_calib) <= 1e-15
+
+    def test_single_triple_returns_python_scalars(self, g2):
+        e = np.eye(7)
+        flag, calib = is_associative(g2, e[0], e[1], e[2])
+        assert type(flag) is bool and type(calib) is float
+
+    def test_degenerate_row_in_stack_rejected(self, g2):
+        U, V, W = associative_mix(g2, np.random.default_rng(3), 16)
+        W[5] = 2.0 * U[5] - V[5]
+        with pytest.raises(DegenerateSpan):
+            is_associative(g2, U, V, W)
+
+    def test_degeneracy_bound_is_scale_free(self, g2):
+        e = np.eye(7)
+        flag, calib = is_associative(g2, 1e-3 * e[0], 1e-3 * e[1], 1e-3 * e[2])
+        assert flag and calib == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DegenerateSpan):
+            is_associative(g2, 1e4 * e[0], 1e4 * e[1], 1e4 * (e[0] + 1e-7 * e[2]))
+        with pytest.raises(DegenerateSpan):
+            is_associative(g2, 0.0 * e[0], e[1], e[2])
+
+    @pytest.mark.parametrize("message,u,v,w", [
+        ("^u must", np.full(7, np.nan), np.eye(7)[1], np.eye(7)[2]),
+        ("^v must", np.eye(7)[0], np.eye(7)[1][:3], np.eye(7)[2]),
+        ("^w must", np.eye(7)[0], np.eye(7)[1], [np.inf] + [0.0] * 6),
+        ("^u, v, w do not broadcast", np.ones((2, 7)), np.ones((3, 7)), np.eye(7)[2]),
+    ], ids=["nan_u", "short_v", "inf_w", "no_broadcast"])
+    def test_bad_input_rejected(self, g2, message, u, v, w):
+        with pytest.raises(ValueError, match=message):
+            is_associative(g2, u, v, w)
 
 
 def test_acceptance_1_battery_runtime(g2, rng):

@@ -145,6 +145,12 @@ class TestAlgebraCommands:
         out = capsys.readouterr().out
         assert "associative: True" in out and "calibration: 1" in out
 
+    def test_associative_small_frame_spans_a_plane(self, capsys):
+        # the span test is relative to the vector lengths
+        assert run(["algebra", "associative", "--u", "0.001*e1", "--v", "0.001*e2",
+                    "--w", "0.001*e3"]) == 0
+        assert capsys.readouterr().out == "associative: True\ncalibration: 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["cross", "--x", "inf,0,0,0,0,0,0", "--y", "e2"],
         ["associative", "--u", "nan,0,0,0,0,0,0", "--v", "e2", "--w", "e3"],

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from g2knot import twistor
+from g2knot.algebra import cross_field, standard_g2
 from g2knot.errors import ConfigError
-from g2knot.loops import normal_project
-from g2knot.verify import (SUITES, SuiteReport, VerifyConfig,
+from g2knot.loops import Loop7, normal_project
+from g2knot.verify import (SUITES, SuiteReport, VerifyConfig, _family_calibrations,
                            _nondegeneracy_table, _type_10_field, random_loop,
                            random_normal_field, reports_to_json, run_suites,
                            suite_associative, suite_instanton, suite_kahler,
                            suite_twistor)
+from test_algebra import ref_is_associative
 
 SMALL = dict(loops=3, fields=2, n=256, instanton_samples=9)
 
@@ -209,6 +211,25 @@ class TestOtherSuites:
         assert report.passed
         assert case(report, "calibration")["residual"] < 1e-10
         assert case(report, "control")["residual"] < 0.999
+
+    @pytest.mark.parametrize("partner", ["rotated", "control"])
+    def test_family_calibrations_match_per_point_reference(self, partner):
+        rng = np.random.default_rng(23)
+        loop = random_loop(rng, 256)
+        X, Y = random_normal_field(rng, loop), random_normal_field(rng, loop)
+        g2 = standard_g2()
+        partner = {"rotated": lambda lp, xn: cross_field(g2, lp.unit_tangent, xn),
+                   "control": lambda lp, xn: normal_project(lp, Y)}[partner]
+        steps = np.linspace(-0.1, 0.1, 5)
+        ref = []
+        for s in steps:
+            moved = Loop7(loop.samples + s * X)
+            X_N = normal_project(moved, X)
+            P, T = partner(moved, X_N), moved.unit_tangent
+            ref += [ref_is_associative(g2, X_N[t], P[t], T[t])[1] for t in range(0, 256, 16)]
+        got = _family_calibrations(loop, X, partner, steps)
+        assert got.shape == (5 * 16,)
+        assert np.abs(got - np.asarray(ref)).max() <= 1e-14
 
     def test_instanton_suite_passes(self):
         report = suite_instanton(VerifyConfig(**SMALL))

@@ -18,10 +18,6 @@ from .loops import Loop7, integrate, normal_project, spectral_derivative
 
 H_MIN, H_MAX = 1e-6, 1e-2
 
-# Global sign s in omega(X, Y) = s * G(I X, Y): measured once on the circle
-# fixture (see tests) and frozen here.
-OMEGA_METRIC_SIGN = 1.0
-
 
 def acs_apply(loop: Loop7, X: np.ndarray) -> np.ndarray:
     """Almost complex structure: (I X)(t) = T(t) ⋆ X_N(t); complex-linear."""
@@ -54,7 +50,9 @@ class KnotChart:
     base: Loop7
 
     def loop_at(self, u: np.ndarray) -> Loop7:
-        return Loop7(self.base.samples + np.asarray(u, dtype=float))
+        """The loop base + u; the base itself when u is all zeros."""
+        u = np.asarray(u, dtype=float)
+        return Loop7(self.base.samples + u) if np.any(u) else self.base
 
     def project(self, u: np.ndarray) -> np.ndarray:
         return normal_project(self.base, u)

@@ -54,9 +54,9 @@ def spectral_tail(values: np.ndarray, with_mean: bool = False) -> float:
 # fewer when a point's angle and cos/sin tables (S + Q - 1 entries each) and
 # two matmul products ((2 Q - 1) C each) would take a block past
 # _BLOCK_FLOATS floats (1 MB), however many points are asked for. A suite
-# evaluation at N = 512 (Q = 1) is one block; the 7-column resample at
-# N = 2048 (Q = 33) runs 118 points a block. Both caps measured faster than
-# either alone: wider blocks fall out of cache.
+# evaluation at N = 512 (Q = 1) is one block; the 9-column arclength step
+# with the fused resample at N = 2048 (Q = 33) runs 96 points a block. Both
+# caps measured faster than either alone: wider blocks fall out of cache.
 _ROW_BLOCK = 512
 _BLOCK_FLOATS = 2 ** 17
 # Baby-step width S: mode k = q S + r (0 <= r < S) is split by angle addition
@@ -208,37 +208,77 @@ def integrate(loop: Loop7, f) -> float:
     return float(total) if np.ndim(total) == 0 and not np.iscomplexobj(f) else total
 
 
-def arclength_params(loop: Loop7) -> np.ndarray:
-    """Parameters t(s_j) at which arclength is uniform, via Newton on the
-    spectrally integrated speed."""
+def _arclength_solve(loop: Loop7, values: np.ndarray | None = None):
+    """Newton for the parameters t(s_j) of uniform arclength s_j = L j / N,
+    and the trigonometric interpolant of `values` at them ((N, 0) without).
+
+    Every evaluation carries the sample columns with the speed and the
+    arclength; the t returned is the one whose residual passed, with the
+    samples evaluated there. On `loop gen` loops the warm start passes at
+    the first evaluation at N = 2048; at N = 512 one Newton step follows."""
     n = loop.n
     a, b = _cos_sin_coeffs(loop.speeds)
     # Column 0 is the speed, column 1 the periodic part of its antiderivative;
     # a_0 t + sum_k b_k / k completes the arclength from t = 0. The k = 0
     # entries drop out (b_0 = 0, sin 0 = 0), so any nonzero k serves there.
     k = np.maximum(np.arange(a.shape[0]), 1)
-    cos_coeffs = np.stack([a, -b / k], axis=1)
-    sin_coeffs = np.stack([b, a / k], axis=1)
+    coeffs = np.stack([a, -b / k], axis=1), np.stack([b, a / k], axis=1)
     offset = np.sum(b / k)
-
     total = loop.length
     targets = total * np.arange(n) / n
-    t = TWO_PI * np.arange(n) / n  # initial guess: uniform parameter
+
+    # Warm start: the arclength on the grid is one irfft of the periodic
+    # column (k = 0 dropped; an even N's Nyquist sine vanishes there). The
+    # nodes (s_j, t_j), closed by (L, 2 pi), with dt/ds = 1/v and
+    # d2t/ds2 = -v'/v^3 give a quintic Hermite inverse, accurate to O(h^6).
+    half = 0.5 * n * (coeffs[0][:, 1] - 1j * coeffs[1][:, 1])
+    half[0] = 0.0
+    s = np.append(a[0] * loop.params + np.fft.irfft(half, n) + offset, total)
+    nodes = np.append(loop.params, TWO_PI)
+    speed = np.append(loop.speeds, loop.speeds[0])
+    bend = -spectral_derivative(loop.speeds) / loop.speeds ** 3
+    bend = np.append(bend, bend[0])
+    j = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 1)
+    h = s[j + 1] - s[j]
+    x = (targets - s[j]) / h
+    rise = nodes[j + 1] - nodes[j]
+    d0, d1 = h / speed[j], h / speed[j + 1]
+    c0, c1 = h * h * bend[j], h * h * bend[j + 1]
+    # t = nodes[j] + p(x), p the quintic with p(0) = 0, p(1) = rise and
+    # p', p'' = d, c at both ends, in powers of x
+    t = nodes[j] + x * (d0 + x * (0.5 * c0 + x * (
+        10.0 * rise - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1 + x * (
+            -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1 + x * (
+                6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (c0 - c1))))))
+
+    if values is not None:
+        coeffs = tuple(np.concatenate(pair, axis=1)
+                       for pair in zip(coeffs, _cos_sin_coeffs(values)))
+    tol = 1e-14 * max(total, 1.0)
     for _ in range(60):
-        speed, periodic = _trig_eval(cos_coeffs, sin_coeffs, t).T
-        resid = a[0] * t + periodic + offset - targets
-        t = t - resid / np.maximum(speed, 1e-12)
-        if np.max(np.abs(resid)) < 1e-14 * max(total, 1.0):
-            break
-    return t
+        out = _trig_eval(*coeffs, t)
+        resid = a[0] * t + out[:, 1] + offset - targets
+        worst = np.max(np.abs(resid))
+        if worst < tol:
+            return t, out[:, 2:]
+        t = t - resid / np.maximum(out[:, 0], 1e-12)
+    raise UnderResolved(
+        f"arclength Newton did not converge in 60 steps: residual {worst:.1e} against"
+        f" {tol:.1e}; the loop is under-resolved")
+
+
+def arclength_params(loop: Loop7) -> np.ndarray:
+    """Parameters t(s_j) at which arclength is uniform: Newton on the
+    spectrally integrated speed from a quintic Hermite inverse of the grid
+    arclength. Raises UnderResolved when Newton does not converge."""
+    return _arclength_solve(loop)[0]
 
 
 def unit_speed_reparam(loop: Loop7) -> Loop7:
     """Resample the loop so its speed is constant (= length / 2*pi)."""
     if loop.is_constant_speed(rtol=1e-12):
         return loop
-    t = arclength_params(loop)
-    return Loop7(trig_interpolate(loop.samples, t))
+    return Loop7(_arclength_solve(loop, loop.samples)[1])
 
 
 def require_resolved(loop: Loop7) -> None:

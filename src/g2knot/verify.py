@@ -250,7 +250,7 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
             m_compat = max(
                 m_compat,
                 abs(knots.omega(loop, X, Y)
-                    - knots.OMEGA_METRIC_SIGN * knots.hermitian_metric(loop, IX, Y)) / pair_scale,
+                    - knots.hermitian_metric(loop, IX, Y)) / pair_scale,
                 abs(knots.omega(loop, IX, IY) - knots.omega(loop, X, Y)) / pair_scale,
             )
             if fi < 2:  # Nijenhuis is the costly case; two field pairs per loop

@@ -6,9 +6,8 @@ import pytest
 
 from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
-from g2knot.knots import (KnotChart, OMEGA_METRIC_SIGN, acs_apply,
-                          chart_bracket, d_omega, d_omega_fd,
-                          hermitian_metric, nijenhuis, omega)
+from g2knot.knots import (KnotChart, acs_apply, chart_bracket, d_omega,
+                          d_omega_fd, hermitian_metric, nijenhuis, omega)
 from g2knot.loops import (FourierLoopSpec, Loop7, circle_loop,
                           loop_from_fourier, normal_project, trig_interpolate,
                           unit_speed_reparam)
@@ -70,6 +69,14 @@ class TestAlmostComplexStructure:
         twice = chart.acs(u, chart.acs(u, X))
         assert np.allclose(twice, -X, atol=1e-10 * max(1.0, np.abs(X).max()))
 
+    def test_chart_point_zero_is_the_base(self, rng):
+        loop = smooth_loop(rng)
+        chart = KnotChart(loop)
+        assert chart.loop_at(np.zeros((loop.n, 7))) is loop
+        X = smooth_field(rng, loop)
+        assert np.array_equal(chart.acs(np.zeros_like(X), X),
+                              chart.to_chart_tangent(loop, acs_apply(loop, X)))
+
     def test_isometry_on_normal_fields(self, rng):
         loop = smooth_loop(rng)
         X = smooth_field(rng, loop)
@@ -99,8 +106,9 @@ class TestTwoForm:
         loop = smooth_loop(rng)
         X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
         IX = acs_apply(loop, X)
+        # omega(X, Y) = +G(I X, Y): the sign is +1
         assert omega(loop, X, Y) == pytest.approx(
-            OMEGA_METRIC_SIGN * hermitian_metric(loop, IX, Y), rel=1e-10)
+            hermitian_metric(loop, IX, Y), rel=1e-10)
 
     def test_invariance_under_acs(self, rng):
         loop = smooth_loop(rng)

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from g2knot import loops
+from g2knot.cli import run
 from g2knot.errors import ImmersionViolation, UnderResolved
 from g2knot.loops import (RESOLVED_TAIL, FourierLoopSpec, Loop7,
                           arclength_params, circle_loop, integrate,
@@ -49,8 +51,10 @@ def dense_interpolant(values, t):
 
 
 def dense_arclength_params(loop):
-    """Reference Newton solve for uniform arclength on dense exponentials:
-    same initial guess, step cap and stopping rule as arclength_params."""
+    """Independent reference Newton solve for uniform arclength on dense
+    exponentials, 256 points at a time. It starts from the uniform grid, not
+    from arclength_params' Hermite warm start, and keeps the same step cap
+    and stopping rule."""
     n = loop.n
     spec = np.fft.fft(loop.speeds) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -58,10 +62,14 @@ def dense_arclength_params(loop):
     total = loop.length
     targets = total * np.arange(n) / n
     t = 2 * np.pi * np.arange(n) / n
+    periodic, speed = np.empty(n), np.empty(n)
     for _ in range(60):
-        phases = np.exp(1j * np.outer(t, km)) - 1.0
-        resid = spec[0].real * t + (phases @ (cm / (1j * km))).real - targets
-        t = t - resid / np.maximum(dense_interpolant(loop.speeds, t), 1e-12)
+        for i in range(0, n, 256):
+            exps = np.exp(1j * np.outer(t[i:i + 256], km))
+            periodic[i:i + 256] = ((exps - 1.0) @ (cm / (1j * km))).real
+            speed[i:i + 256] = spec[0].real + (exps @ cm).real
+        resid = spec[0].real * t + periodic - targets
+        t = t - resid / np.maximum(speed, 1e-12)
         if np.max(np.abs(resid)) < 1e-14 * max(total, 1.0):
             break
     return t
@@ -137,7 +145,7 @@ class TestTrigEvaluator:
         with pytest.raises(ValueError, match="real samples"):
             trig_interpolate(np.ones((16, 3), dtype=complex), np.zeros(4))
 
-    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("n", [64, 256, 257, 2048])
     def test_arclength_params_match_dense_newton(self, rng, n):
         loop = loop_from_fourier(random_spec(rng, n=n))
         t = arclength_params(loop)
@@ -147,7 +155,7 @@ class TestTrigEvaluator:
     def test_reparam_memory_is_bounded(self):
         # Dense N x N exponentials at N = 2048 peak above 130 MB, full-width
         # 256 x 1025 cos/sin tables near 4.4 MB; blocks of 64-wide tables and
-        # their products, capped at 1 MB, keep the traced peak near 1.5 MB.
+        # their products, capped at 1 MB, keep the traced peak near 2.3 MB.
         loop = random_loop(np.random.default_rng(2048), 2048, 5)
         tracemalloc.start()
         try:
@@ -235,6 +243,48 @@ class TestReparametrization:
         spread = (fixed.speeds.max() - fixed.speeds.min()) / fixed.speeds.mean()
         assert spread < 1e-8
         assert fixed.length == pytest.approx(loop.length, rel=1e-10)
+
+    @pytest.mark.parametrize("n, least, most",
+                             [(64, 2, 3), (128, 2, 3), (256, 2, 3), (512, 2, 2), (2048, 1, 1)])
+    def test_reparam_evaluation_count(self, monkeypatch, n, least, most):
+        # Each evaluation also carries the samples. The warm start passes the
+        # residual test at N = 2048 and needs one Newton step at N = 512.
+        calls = []
+        evaluate = loops._trig_eval
+        monkeypatch.setattr(loops, "_trig_eval", lambda *args: calls.append(1) or evaluate(*args))
+        for seed in range(1000, 1004):
+            loop = random_loop(np.random.default_rng(seed), n, 5)
+            calls.clear()
+            unit_speed_reparam(loop)
+            assert least <= len(calls) <= most
+
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    def test_fused_samples_match_trig_interpolate(self, n):
+        loop = random_loop(np.random.default_rng(n), n, 5)
+        fixed = unit_speed_reparam(loop).samples
+        ref = trig_interpolate(loop.samples, arclength_params(loop))
+        assert np.abs(fixed - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_newton_without_convergence_is_under_resolved(self, monkeypatch, tmp_path, capsys):
+        # The arclength column jumps by +-1e-3 between evaluations, so the
+        # residual never settles below the 1e-14 L test.
+        evaluate = loops._trig_eval
+        calls = []
+
+        def unsettled(a, b, t):
+            out = evaluate(a, b, t)
+            calls.append(1)
+            out[:, 1] += (-1) ** len(calls) * 1e-3
+            return out
+        monkeypatch.setattr(loops, "_trig_eval", unsettled)
+        loop = random_loop(np.random.default_rng(5), 256, 5)
+        with pytest.raises(UnderResolved, match="did not converge in 60 steps: residual"):
+            arclength_params(loop)
+        path = tmp_path / "loop.json"
+        path.write_text(loop_to_json(loop))
+        assert run(["loop", "reparam", "-i", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: arclength Newton did not converge")
 
 
 class TestResolution:

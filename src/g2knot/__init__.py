@@ -17,7 +17,7 @@ from .forms import AltForm, basis_form, contract, hodge_star, wedge
 from .instanton import (CurvatureSample, is_g2_instanton,
                         lifted_curvature_type_residual)
 from .knots import (KnotChart, acs_apply, chart_bracket, d_omega, d_omega_fd,
-                    hermitian_metric, nijenhuis, omega)
+                    hermitian_metric, nijenhuis, nijenhuis_exact, omega)
 from .loops import (FourierLoopSpec, Loop7, arclength_params, circle_loop,
                     integrate, loop_from_fourier, loop_from_json, loop_to_json,
                     normal_project, spectral_derivative, spectral_tail,

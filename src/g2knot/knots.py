@@ -107,13 +107,21 @@ def chart_bracket(chart: KnotChart, A, B, u: np.ndarray, h: float) -> np.ndarray
             - _centered(lambda du: A(u + du), B(u), h))
 
 
+def _real(F) -> np.ndarray:
+    """F as a float array. The knot-space operators below are real-only: a
+    complex field is refused rather than cut to its real part."""
+    if np.iscomplexobj(F):
+        raise ValueError("expected a real field, got a complex one")
+    return np.asarray(F, dtype=float)
+
+
 def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.ndarray:
     """Nijenhuis tensor N(X, Y) = [X,Y] + I[IX,Y] + I[X,IY] - [IX,IY] at u = 0
     for chart-constant normal fields X, Y; [X,Y] = 0 by construction.
     """
     _check_step(h)
-    X = chart.project(np.asarray(X, dtype=float))
-    Y = chart.project(np.asarray(Y, dtype=float))
+    X = chart.project(_real(X))
+    Y = chart.project(_real(Y))
     zero = np.zeros_like(X)
 
     I_at = chart.acs
@@ -131,14 +139,36 @@ def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.nd
     return result
 
 
+def nijenhuis_exact(chart: KnotChart, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Closed form of `nijenhuis`, with no step and no displaced loop.
+
+    I_u moves with u only through the unit tangent, whose first variation
+    along D is P D'/|γ'| (as in twistor.lift_tangent), and to first order
+    to_chart_tangent is the normal projection P. So the variation of I along
+    D is (δ_D I) Z = P((P D'/|γ'|) ⋆ Z), and with the bracket convention of
+    `nijenhuis`, N(X, Y) = I((δ_X I) Y - (δ_Y I) X) + (δ_{IY} I) X - (δ_{IX} I) Y,
+    where I = T ⋆ P(·) absorbs the inner projection.
+    """
+    base = chart.base
+    g2 = standard_g2()
+    X = chart.project(_real(X))
+    Y = chart.project(_real(Y))
+    IX, IY = acs_apply(base, X), acs_apply(base, Y)
+    derivs = spectral_derivative(np.hstack([X, Y, IX, IY]))
+    derivs /= base.speeds[:, None]
+    dX, dY, dIX, dIY = (normal_project(base, D) for D in np.hsplit(derivs, 4))
+    inner = cross_field(g2, dX, Y) - cross_field(g2, dY, X)
+    outer = cross_field(g2, dIY, X) - cross_field(g2, dIX, Y)
+    return acs_apply(base, inner) + normal_project(base, outer)
+
+
 def d_omega(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> float:
     """Exterior derivative of omega on chart-constant fields, via the exact
     linearity of u -> omega_{base+u}: X·omega(Y,Z) = ∫ rho(Y, Z, X') dt.
     """
     def term(A, B, C):
-        dC = spectral_derivative(np.asarray(C, dtype=float))
-        return integrate(chart.base, rho_field(standard_g2(), np.asarray(A, dtype=float),
-                                                    np.asarray(B, dtype=float), dC))
+        dC = spectral_derivative(_real(C))
+        return integrate(chart.base, rho_field(standard_g2(), _real(A), _real(B), dC))
 
     return term(Y, Z, X) - term(X, Z, Y) + term(X, Y, Z)
 
@@ -150,6 +180,6 @@ def d_omega_fd(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
 
     def deriv(direction, A, B):
         return _centered(lambda u: omega(chart.loop_at(u), A, B),
-                         np.asarray(direction, dtype=float), h)
+                         _real(direction), h)
 
     return deriv(X, Y, Z) - deriv(Y, X, Z) + deriv(Z, X, Y)

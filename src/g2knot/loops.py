@@ -32,8 +32,8 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
     spec = np.fft.fft(values, axis=0)
-    shape = (n,) + (1,) * (values.ndim - 1)
-    out = np.fft.ifft(1j * k.reshape(shape) * spec, axis=0)
+    spec *= 1j * k.reshape((n,) + (1,) * (values.ndim - 1))  # in place: one spectrum fewer
+    out = np.fft.ifft(spec, axis=0)
     return out.real if np.isrealobj(values) else out
 
 

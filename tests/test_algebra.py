@@ -5,7 +5,7 @@ decomposition of 2-forms with its three characterizations."""
 import numpy as np
 import pytest
 
-from g2knot import knots, twistor
+from g2knot import algebra, knots, twistor
 from g2knot.algebra import (G2Structure, Octonion, cross,
                             cross_field, complex_structure_apply,
                             hermitian_trace_vector, is_associative,
@@ -259,6 +259,18 @@ class TestKernelReference:
     @pytest.fixture(scope="class")
     def loop(self):
         return random_loop(np.random.default_rng(5), self.N, 5)
+
+    def test_real_pairs_are_the_broadcast_product(self):
+        # the einsum outer product for real operands repeats the broadcast
+        # product bit for bit, also where one operand broadcasts over a stack
+        rng = np.random.default_rng(11)
+        for sa, sb in [((7,), (7,)), ((self.N, 7), (self.N, 7)),
+                       ((self.N, 7), (4, self.N, 7)), ((4, self.N, 7), (self.N, 7))]:
+            a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+            ref = a[..., :, None] * b[..., None, :]
+            got = algebra._pairs(a, b)
+            assert got.shape == ref.shape[:-2] + (49,)
+            assert got.tobytes() == ref.tobytes()
 
     def test_cross_field(self, g2, draw):
         for shape in [(7,), (self.N, 7)]:

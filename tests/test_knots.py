@@ -7,7 +7,8 @@ import pytest
 from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
 from g2knot.knots import (KnotChart, acs_apply, chart_bracket, d_omega,
-                          d_omega_fd, hermitian_metric, nijenhuis, omega)
+                          d_omega_fd, hermitian_metric, nijenhuis,
+                          nijenhuis_exact, omega)
 from g2knot.loops import (FourierLoopSpec, Loop7, circle_loop,
                           loop_from_fourier, normal_project, trig_interpolate,
                           unit_speed_reparam)
@@ -44,6 +45,10 @@ def smooth_field(rng, loop, k_max=4):
 
 def const_field(loop, axis):
     return np.tile(np.eye(7)[axis], (loop.n, 1))
+
+
+def rel_sup(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
 
 
 class TestAlmostComplexStructure:
@@ -198,3 +203,82 @@ class TestNijenhuis:
         nij = nijenhuis(chart, X, 2.0 * X, 1e-4)
         assert np.abs(nij).max() < 1e-6
 
+
+
+class TestNijenhuisExact:
+    """The closed form against the finite-difference route, its witnesses and
+    the identities every Nijenhuis tensor satisfies."""
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        rng = np.random.default_rng(7)
+        loop = smooth_loop(rng)
+        chart = KnotChart(loop)
+        X, Y = smooth_field(rng, loop), smooth_field(rng, loop)
+        return loop, chart, X, Y, nijenhuis_exact(chart, X, Y)
+
+    def test_fd_gap_falls_as_h_squared(self, drawn):
+        _, chart, X, Y, exact = drawn
+        gaps = [rel_sup(nijenhuis(chart, X, Y, h), exact) for h in (1e-3, 1e-4)]
+        assert 80.0 < gaps[0] / gaps[1] < 120.0
+        assert gaps[1] < 1e-6
+
+    def test_circle_witness(self, g2, circle):
+        chart = KnotChart(circle)
+        nij = nijenhuis_exact(chart, const_field(circle, 2), const_field(circle, 3))
+        expected = -cross_field(g2, circle.unit_tangent, const_field(circle, 3))
+        assert np.abs(nij - expected).max() <= 1e-11
+
+    def test_vanishes_in_the_associative_plane(self):
+        # span(e1, e2, e3) is associative: for a loop in it, with fields valued
+        # in it, I is the rotation of Brylinski's rank-2 normal bundle
+        rng = np.random.default_rng(3)
+        while True:
+            loop = smooth_loop(rng)
+            flat = Loop7(loop.samples * (np.arange(7) < 3))
+            if flat.speeds.min() / flat.speeds.mean() > 0.5:
+                break
+        X, Y = (normal_project(flat, smooth_field(rng, loop) * (np.arange(7) < 3))
+                for _ in range(2))
+        nij = nijenhuis_exact(KnotChart(flat), X, Y)
+        assert np.abs(nij).max() <= 1e-12 * np.abs(X).max() * np.abs(Y).max()
+
+    def test_complex_antilinear_identities(self, drawn):
+        # N(IX, Y) = N(X, IY) = -I N(X, Y)
+        loop, chart, X, Y, exact = drawn
+        minus_I_N = -acs_apply(loop, exact)
+        assert rel_sup(nijenhuis_exact(chart, acs_apply(loop, X), Y), minus_I_N) <= 1e-12
+        assert rel_sup(nijenhuis_exact(chart, X, acs_apply(loop, Y)), minus_I_N) <= 1e-12
+
+    def test_normal_to_the_loop(self, drawn):
+        loop, _, _, _, exact = drawn
+        tangential = np.einsum("ni,ni->n", exact, loop.unit_tangent)
+        assert np.abs(tangential).max() <= 1e-13 * np.abs(exact).max()
+
+    def test_antisymmetry(self, drawn):
+        _, chart, X, Y, exact = drawn
+        assert rel_sup(nijenhuis_exact(chart, Y, X), -exact) <= 1e-14
+
+
+class TestRealOnly:
+    """The knot-space operators that cast to real refuse complex fields
+    instead of dropping their imaginary parts."""
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        rng = np.random.default_rng(5)
+        loop = smooth_loop(rng, n=64)
+        X, Y, Z = (smooth_field(rng, loop) for _ in range(3))
+        return KnotChart(loop), X, Y, Z
+
+    @pytest.mark.parametrize("op", [
+        lambda chart, A, B, C: nijenhuis(chart, A, B, 1e-4),
+        lambda chart, A, B, C: nijenhuis_exact(chart, A, B),
+        lambda chart, A, B, C: d_omega(chart, A, B, C),
+        lambda chart, A, B, C: d_omega_fd(chart, A, B, C, 1e-4),
+    ], ids=["nijenhuis", "nijenhuis_exact", "d_omega", "d_omega_fd"])
+    def test_complex_field_is_refused(self, drawn, op):
+        chart, X, Y, Z = drawn
+        for args in [(X + 1j * Y, Y, Z), (X, Y + 1j * Z, Z)]:
+            with pytest.raises(ValueError, match="complex"):
+                op(chart, *args)

@@ -14,12 +14,13 @@ EXPORTS = [
     "hermitian_trace_vector", "hodge_star", "instanton", "integrate", "is_associative",
     "is_g2_instanton", "knots", "lie_action_on_rho", "lift_tangent", "lift_tangent_fd",
     "lifted_curvature_type_residual", "lknot_lift", "loop_from_fourier", "loop_from_json",
-    "loop_to_json", "loops", "metric_from_three_form", "nijenhuis", "normal_project",
-    "octonion_mul", "omega", "omega3_eval", "random_loop", "random_normal_field",
-    "run_suites", "spectral_derivative", "spectral_tail", "standard_g2", "standard_phi",
-    "suite_associative", "suite_instanton", "suite_kahler", "suite_twistor",
-    "trig_interpolate", "twistor", "two_form_decompose", "two_form_operator_matrix",
-    "unit_speed_reparam", "verify", "wedge", "xi_eval", "xi_tilde",
+    "loop_to_json", "loops", "metric_from_three_form", "nijenhuis", "nijenhuis_exact",
+    "normal_project", "octonion_mul", "omega", "omega3_eval", "random_loop",
+    "random_normal_field", "run_suites", "spectral_derivative", "spectral_tail",
+    "standard_g2", "standard_phi", "suite_associative", "suite_instanton", "suite_kahler",
+    "suite_twistor", "trig_interpolate", "twistor", "two_form_decompose",
+    "two_form_operator_matrix", "unit_speed_reparam", "verify", "wedge", "xi_eval",
+    "xi_tilde",
 ]
 
 

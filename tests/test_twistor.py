@@ -7,7 +7,7 @@ import pytest
 
 from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
-from g2knot.knots import KnotChart, nijenhuis
+from g2knot.knots import KnotChart, acs_apply, nijenhuis, nijenhuis_exact
 from g2knot.loops import (FourierLoopSpec, circle_loop, integrate,
                           loop_from_fourier, normal_project,
                           spectral_derivative)
@@ -225,6 +225,31 @@ class TestCartanPairing:
         ratio = (abs(cc) / scale) / max(nij / (np.abs(fields[0]).max()
                                                * np.abs(fields[1]).max()), 1e-30)
         assert 1e-2 < ratio < 1e2
+
+    @pytest.mark.parametrize("seed", [7, 8, 410])
+    def test_equals_omega_on_a_quarter_of_nijenhuis(self, seed):
+        # for (0,1)-fields [Z, T]^{1,0} = N(Z, T)/4 and a (3,0)-form sees only
+        # the (1,0) part, so the FD bracket pairing matches the closed-form N
+        # extended complex-bilinearly
+        rng = np.random.default_rng(seed)
+        lift = lknot_lift(random_loop(rng, N, 5))
+        base = lift.base
+        chart = KnotChart(base)
+        X, Y, Z, T = (random_normal_field(rng, base, 5) for _ in range(4))
+
+        def typed(F, sign):
+            return 0.5 * (F + sign * 1j * acs_apply(base, F))
+
+        def nij(A, B):
+            return (nijenhuis_exact(chart, A.real, B.real)
+                    - nijenhuis_exact(chart, A.imag, B.imag)
+                    + 1j * (nijenhuis_exact(chart, A.real, B.imag)
+                            + nijenhuis_exact(chart, A.imag, B.real)))
+
+        fields = (typed(X, -1.0), typed(Y, -1.0), nij(typed(Z, 1.0), typed(T, 1.0)) / 4)
+        ref = omega3_eval(lift, *(lift_tangent(lift, F) for F in fields))
+        cc = cartan_check(lift, X, Y, Z, T, h=1e-4)
+        assert abs(cc - ref) <= 1e-5 * abs(ref)
 
     def test_step_validation(self):
         lift = lknot_lift(circle_loop(64))

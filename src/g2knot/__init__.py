@@ -13,9 +13,8 @@ from .algebra import (G2Structure, Octonion, cross, cross_field,
 from .errors import (ConfigError, DegenerateForm, DegenerateSpan, G2KnotError,
                      ImmersionViolation, NonUnitAxis, StepOutOfRange,
                      UnderResolved, ZeroCurvature)
-from .forms import AltForm, basis_form, contract, hodge_star, wedge
-from .instanton import (CurvatureSample, is_g2_instanton,
-                        lifted_curvature_type_residual)
+from .forms import AltForm, contract, hodge_star, wedge
+from .instanton import is_g2_instanton, lifted_curvature_type_residual
 from .knots import (KnotChart, acs_apply, chart_bracket, d_omega, d_omega_fd,
                     hermitian_metric, nijenhuis, nijenhuis_exact, omega)
 from .loops import (FourierLoopSpec, Loop7, arclength_params, circle_loop,

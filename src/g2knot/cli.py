@@ -207,10 +207,7 @@ def _cmd_algebra(args) -> int:
         print(f"imag: {format_vector(prod.imag)}")
         print(f"real: {prod.real:.12g}")
     elif args.algebra_command == "decompose":
-        beta = parse_form(args.form)
-        if beta.degree != 2:
-            raise ValueError("decompose expects a 2-form")
-        beta7, beta14 = two_form_decompose(g2, beta)
+        beta7, beta14 = two_form_decompose(g2, parse_form(args.form))
         print(f"beta7:  {format_form(beta7)}  (norm {beta7.norm():.12g})")
         print(f"beta14: {format_form(beta14)}  (norm {beta14.norm():.12g})")
     elif args.algebra_command == "associative":

@@ -105,23 +105,10 @@ class AltForm:
         slot, sign = _entry(self.degree, idx)
         return sign * self.coeffs[slot] if sign else 0.0
 
-    def __add__(self, other: "AltForm") -> "AltForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return AltForm(self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AltForm") -> "AltForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return AltForm(self.degree, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar: float) -> "AltForm":
         return AltForm(self.degree, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "AltForm":
-        return AltForm(self.degree, -self.coeffs)
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
@@ -192,7 +179,3 @@ def hodge_star(a: AltForm, metric: np.ndarray, vol_coeff: float) -> AltForm:
     out.coeffs[tail] = signs * raised.take(table(k).increasing[head]) * vol_coeff
     return out
 
-
-def basis_form(degree: int, idx) -> AltForm:
-    """The basis form e^{i1...ik} for a strictly increasing multi-index (0-based)."""
-    return AltForm.from_terms(degree, {tuple(idx): 1.0})

@@ -8,8 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -20,8 +18,8 @@ from .algebra import (cross_field, is_associative, omega3_slot, standard_g2,
                       two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
-from .instanton import (CurvatureSample, INSTANTON_TOL, LIFTED_TOL,
-                        is_g2_instanton, lifted_curvature_type_residual)
+from .instanton import (INSTANTON_TOL, LIFTED_TOL, is_g2_instanton,
+                        lifted_curvature_type_residual)
 from .knots import H_MIN, H_MAX, KnotChart
 from .loops import (FourierLoopSpec, Loop7, MIN_SAMPLES, integrate,
                     loop_from_fourier, normal_project)
@@ -47,19 +45,6 @@ NIJENHUIS_STEPS = (2e-4, 1e-4, 5e-5)
 CONVERGENCE_SAMPLE_COUNTS = (64, 128, 256, 512)
 
 
-def _default_threads() -> int:
-    """Suite worker threads from G2KNOT_THREADS: 1 when unset, else a
-    positive integer."""
-    text = os.environ.get("G2KNOT_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        raise ValueError(f"G2KNOT_THREADS must be an integer, got {text!r}") from None
-    if threads < 1:
-        raise ValueError(f"G2KNOT_THREADS must be at least 1, got {threads}")
-    return threads
-
-
 @dataclass
 class VerifyConfig:
     """Shared configuration for verification suites."""
@@ -72,7 +57,6 @@ class VerifyConfig:
     instanton_samples: int = 50
     max_mode: int = 5
     tolerances: dict = field(default_factory=dict)
-    threads: int = field(default_factory=_default_threads)
 
     def __post_init__(self):
         if self.n < MIN_SAMPLES:
@@ -194,8 +178,8 @@ def random_normal_field(rng: np.random.Generator, loop: Loop7,
 
 def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
          digest: str, skip: tuple[str, str] | None = None) -> SuiteReport:
-    """Evaluate pre-drawn items, in G2KNOT_THREADS threads when configured,
-    and record one case per row of `cases`.
+    """Evaluate pre-drawn items in order and record one case per row of
+    `cases`.
 
     evaluate(item) returns a dict of metrics keyed by case name, or None
     for a skipped item. A row is (case, tolerance key or fixed bound,
@@ -203,11 +187,7 @@ def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
     above its bound, any other below. skip = (case, meta key) records how many
     items were skipped.
     """
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            results = list(ex.map(evaluate, items))
-    else:
-        results = [evaluate(item) for item in items]
+    results = [evaluate(item) for item in items]
     done = [r for r in results if r is not None]
     meta = {key: getattr(config, key)
             for key in ("seed", "n", "h", "loops", "fields", "max_mode")}
@@ -432,7 +412,6 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
     loops = [random_loop(rng, config.n, config.max_mode)
              for _ in range(min(config.loops, 10))]
     betas = [rng.standard_normal(21) for _ in range(config.instanton_samples)]
-    generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
     weights = [0.0, 1e-3, 1.0]
     g2 = standard_g2()
 
@@ -440,10 +419,10 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
         i, coeffs = item
         beta7, beta14 = two_form_decompose(g2, AltForm(2, coeffs))
         w = weights[i % len(weights)]
-        sample = CurvatureSample(AltForm(2, beta14.coeffs + w * beta7.coeffs), generator)
+        form = AltForm(2, beta14.coeffs + w * beta7.coeffs)
         try:
-            flag, _ = is_g2_instanton(g2, sample, config.tol("instanton"))
-            lifted = lifted_curvature_type_residual(sample, loops)
+            flag, _ = is_g2_instanton(g2, form, config.tol("instanton"))
+            lifted = lifted_curvature_type_residual(form, loops)
         except ZeroCurvature:
             return None
         mismatch = flag != (lifted < config.tol("lifted_instanton"))
@@ -453,8 +432,7 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
     report = _run("instanton", config, list(enumerate(betas)), evaluate,
                   [("equivalence_mismatches", 1.0, sum, False)], digest,
                   skip=("skipped_zero_curvature", "zero_curvature_cases"))
-    pure7 = CurvatureSample(contract(g2.rho, np.eye(7)[0]), generator)
-    res7 = lifted_curvature_type_residual(pure7, loops)
+    res7 = lifted_curvature_type_residual(contract(g2.rho, np.eye(7)[0]), loops)
     report.add_case("pure_seven_residual", res7, 0.1, digest, passed=res7 > 0.1)
     report.cases.insert(1, report.cases.pop())  # ahead of the skip case, if any
     return report

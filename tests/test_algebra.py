@@ -14,8 +14,7 @@ from g2knot.algebra import (G2Structure, Octonion, cross,
                             standard_phi, two_form_decompose,
                             two_form_operator_matrix)
 from g2knot.errors import DegenerateForm, DegenerateSpan, NonUnitAxis
-from g2knot.forms import (AltForm, basis_form, contract, hodge_star,
-                          multi_indices, wedge)
+from g2knot.forms import AltForm, contract, hodge_star, multi_indices, wedge
 from g2knot.loops import integrate, spectral_derivative
 from g2knot.verify import random_loop
 
@@ -68,7 +67,7 @@ class TestMetricReconstruction:
 
     def test_degenerate_form_rejected(self):
         with pytest.raises(DegenerateForm):
-            metric_from_three_form(basis_form(3, (0, 1, 2)))
+            metric_from_three_form(AltForm.from_terms(3, {(0, 1, 2): 1.0}))
 
 
 class TestCrossProduct:
@@ -213,7 +212,8 @@ def wedge_hodge_operator(g2):
     route independent of the psi slice in two_form_operator_matrix."""
     mat = np.empty((21, 21))
     for col, idx in enumerate(multi_indices(2)):
-        image = hodge_star(wedge(g2.rho, basis_form(2, idx)), g2.metric, g2.vol_coeff)
+        basis = AltForm.from_terms(2, {idx: 1.0})
+        image = hodge_star(wedge(g2.rho, basis), g2.metric, g2.vol_coeff)
         mat[:, col] = image.coeffs
     return mat
 

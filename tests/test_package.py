@@ -4,11 +4,11 @@ import g2knot
 from g2knot import algebra, forms
 
 EXPORTS = [
-    "AltForm", "ConfigError", "CurvatureSample", "DegenerateForm", "DegenerateSpan",
+    "AltForm", "ConfigError", "DegenerateForm", "DegenerateSpan",
     "FourierLoopSpec", "G2KnotError", "G2Structure", "ImmersionViolation", "KnotChart",
     "LKnotLift", "Loop7", "NonUnitAxis", "Octonion", "SplitTangent", "StepOutOfRange",
     "SuiteReport", "UnderResolved", "VerifyConfig", "ZeroCurvature", "acs_apply", "algebra",
-    "arclength_params", "basis_form", "cartan_check", "chart_bracket", "circle_loop",
+    "arclength_params", "cartan_check", "chart_bracket", "circle_loop",
     "complex_structure_apply", "contract", "covariant_split", "cross", "cross_field",
     "d_omega", "d_omega3_vs_xi", "d_omega_fd", "errors", "forms", "hermitian_metric",
     "hermitian_trace_vector", "hodge_star", "instanton", "integrate", "is_associative",

@@ -11,11 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from g2knot import twistor
+from g2knot import twistor, verify
 from g2knot.algebra import cross_field, standard_g2
 from g2knot.errors import ConfigError
+from g2knot.instanton import LIFTED_TOL, is_g2_instanton, lifted_curvature_type_residual
 from g2knot.loops import Loop7, normal_project
-from g2knot.verify import (SUITES, SuiteReport, VerifyConfig, _family_calibrations,
+from g2knot.verify import (SuiteReport, VerifyConfig, _family_calibrations,
                            _nondegeneracy_table, _type_10_field, random_loop,
                            random_normal_field, reports_to_json, run_suites,
                            suite_associative, suite_instanton, suite_kahler,
@@ -44,18 +45,6 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = VerifyConfig()
         assert cfg.tol("nijenhuis") == 1e-6
-
-    def test_threads_default_to_one_when_unset(self, monkeypatch):
-        monkeypatch.delenv("G2KNOT_THREADS", raising=False)
-        assert VerifyConfig().threads == 1
-        monkeypatch.setenv("G2KNOT_THREADS", "3")
-        assert VerifyConfig().threads == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_invalid_thread_count_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("G2KNOT_THREADS", value)
-        with pytest.raises(ValueError, match="G2KNOT_THREADS"):
-            VerifyConfig()
 
     def test_sample_floor(self):
         with pytest.raises(ConfigError):
@@ -122,13 +111,6 @@ class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
         a = suite_instanton(VerifyConfig(**SMALL)).to_json()
         b = suite_instanton(VerifyConfig(**SMALL)).to_json()
-        assert a == b
-
-    @pytest.mark.parametrize("name", list(SUITES))
-    def test_threads_do_not_change_results(self, name):
-        small = dict(SMALL, loops=2)
-        a = SUITES[name](VerifyConfig(**small)).to_json()
-        b = SUITES[name](VerifyConfig(**small, threads=4)).to_json()
         assert a == b
 
     def test_blas_threads_do_not_change_results(self, tmp_path):
@@ -236,6 +218,29 @@ class TestOtherSuites:
         assert report.passed
         assert case(report, "equivalence_mismatches")["residual"] == 0.0
         assert case(report, "pure_seven_residual")["residual"] > 0.1
+
+    @pytest.mark.parametrize("seed", [7, 8, 410])
+    def test_instanton_suite_sees_both_classes(self, monkeypatch, seed):
+        # zero mismatches would also follow from a flag that never fires and
+        # a trace that never vanishes; with the true psi, 17 of 50 do each
+        flags, lifted = [], []
+
+        def count_flags(*args):
+            flag, residual = is_g2_instanton(*args)
+            flags.append(flag)
+            return flag, residual
+
+        def count_lifted(*args):
+            lifted.append(lifted_curvature_type_residual(*args))
+            return lifted[-1]
+
+        monkeypatch.setattr(verify, "is_g2_instanton", count_flags)
+        monkeypatch.setattr(verify, "lifted_curvature_type_residual", count_lifted)
+        suite_instanton(VerifyConfig(seed=seed))
+        samples = lifted[:-1]  # the last call is pure_seven_residual
+        assert len(flags) == len(samples) == 50
+        assert sum(flags) == 17
+        assert sum(r < LIFTED_TOL for r in samples) == 17
 
 
 class TestRunSuites:

@@ -54,9 +54,6 @@ class KnotChart:
         u = np.asarray(u, dtype=float)
         return Loop7(self.base.samples + u) if np.any(u) else self.base
 
-    def project(self, u: np.ndarray) -> np.ndarray:
-        return normal_project(self.base, u)
-
     def to_chart_tangent(self, loop: Loop7, W: np.ndarray) -> np.ndarray:
         """Quotient identification: shift W along the loop tangent so it is
         pointwise normal to the base (tangential shifts are reparametrizations).
@@ -99,12 +96,12 @@ def _centered(f, d: np.ndarray, h: float):
     return (f(step * d) - f(-step * d)) / (2.0 * step)
 
 
-def chart_bracket(chart: KnotChart, A, B, u: np.ndarray, h: float) -> np.ndarray:
-    """Commutator [A, B](u) of two chart field maps by centered differences."""
+def chart_bracket(chart: KnotChart, A, B, h: float) -> np.ndarray:
+    """Commutator [A, B] at the base of two chart field maps u -> field, by
+    centered differences."""
     _check_step(h)
-    u = np.asarray(u, dtype=float)
-    return (_centered(lambda du: B(u + du), A(u), h)
-            - _centered(lambda du: A(u + du), B(u), h))
+    zero = np.zeros((chart.base.n, 7))
+    return _centered(B, A(zero), h) - _centered(A, B(zero), h)
 
 
 def _real(F) -> np.ndarray:
@@ -119,24 +116,15 @@ def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.nd
     """Nijenhuis tensor N(X, Y) = [X,Y] + I[IX,Y] + I[X,IY] - [IX,IY] at u = 0
     for chart-constant normal fields X, Y; [X,Y] = 0 by construction.
     """
-    _check_step(h)
-    X = chart.project(_real(X))
-    Y = chart.project(_real(Y))
+    X = normal_project(chart.base, _real(X))
+    Y = normal_project(chart.base, _real(Y))
     zero = np.zeros_like(X)
-
-    I_at = chart.acs
-    IX0 = I_at(zero, X)
-    IY0 = I_at(zero, Y)
-    # [IX, Y] = -d/de I_{u=eY}(X); [X, IY] = +d/de I_{u=eX}(Y)
-    d_IX_along_Y = _centered(lambda u: I_at(u, X), Y, h)
-    d_IY_along_X = _centered(lambda u: I_at(u, Y), X, h)
-    d_IY_along_IX = _centered(lambda u: I_at(u, Y), IX0, h)
-    d_IX_along_IY = _centered(lambda u: I_at(u, X), IY0, h)
-    bracket_IX_Y = -d_IX_along_Y
-    bracket_X_IY = d_IY_along_X
-    bracket_IX_IY = d_IY_along_IX - d_IX_along_IY
-    result = I_at(zero, bracket_IX_Y) + I_at(zero, bracket_X_IY) - bracket_IX_IY
-    return result
+    # as chart maps u -> field: X and Y are constant, IX and IY turn with I_u
+    fX, fY = (lambda u: X), (lambda u: Y)
+    IX, IY = (lambda u: chart.acs(u, X)), (lambda u: chart.acs(u, Y))
+    return (chart.acs(zero, chart_bracket(chart, IX, fY, h))
+            + chart.acs(zero, chart_bracket(chart, fX, IY, h))
+            - chart_bracket(chart, IX, IY, h))
 
 
 def nijenhuis_exact(chart: KnotChart, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -151,8 +139,8 @@ def nijenhuis_exact(chart: KnotChart, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     """
     base = chart.base
     g2 = standard_g2()
-    X = chart.project(_real(X))
-    Y = chart.project(_real(Y))
+    X = normal_project(base, _real(X))
+    Y = normal_project(base, _real(Y))
     IX, IY = acs_apply(base, X), acs_apply(base, Y)
     derivs = spectral_derivative(np.hstack([X, Y, IX, IY]))
     derivs /= base.speeds[:, None]

@@ -92,17 +92,17 @@ def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     return SplitTangent(vertical=-spectral_derivative(X1) / lift.speed, horizontal=X1)
 
 
-def omega3_eval(lift: LKnotLift, A: SplitTangent, B: SplitTangent,
-                C: SplitTangent) -> complex:
-    """The complex 3-form on the lifted knot space.
+def omega3_eval(lift: LKnotLift, A: np.ndarray, B: np.ndarray,
+                C: np.ndarray) -> complex:
+    """The complex 3-form on the lifted knot space, on the horizontal parts
+    A, B, C ((N, 7) fields) of three lifted tangents; vertical parts do not
+    contribute, so none is taken.
 
-    Evaluates ∫ [rho(A_h,B_h,C_h) - i rho*(v,A_h,B_h,C_h)] dt on the
-    horizontal parts; vertical parts do not contribute.  The sign of the
-    imaginary part is fixed so the form has type (3,0): replacing A_h by
-    J_v A_h multiplies the value by i.
+    Evaluates ∫ [rho(A,B,C) - i rho*(v,A,B,C)] dt.  The sign of the
+    imaginary part is fixed so the form has type (3,0): replacing A by
+    J_v A multiplies the value by i.
     """
-    vals = omega3_integrand(standard_g2(), lift.sphere_curve, np.asarray(A.horizontal),
-                            np.asarray(B.horizontal), np.asarray(C.horizontal))
+    vals = omega3_integrand(standard_g2(), lift.sphere_curve, A, B, C)
     return complex(integrate(lift.base, vals))
 
 
@@ -143,26 +143,22 @@ def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float) -> complex:
 
     Builds type-preserving chart extensions X(u) = (1 - i I_u) x / 2 and
     Z(u) = (1 + i I_u) z / 2 from the normal projections of the inputs,
-    computes the chart bracket [Z, T], lifts everything and returns
-    Omega(X, Y, [Z, T]).
+    computes the chart bracket [Z, T] at the base and returns
+    Omega(X, Y, [Z, T]) on these horizontal fields.
     The magnitude measures the integrability obstruction of the knot-space
     almost complex structure and tracks the Nijenhuis residual.
     """
-    _check_step(h)
     chart = KnotChart(lift.base)
     zero = np.zeros((lift.base.n, 7))
 
     def type_field(seed_field, sign):
-        seed = chart.project(seed_field)
+        seed = normal_project(lift.base, seed_field)
         return lambda u: 0.5 * (seed + sign * 1j * chart.acs(u, seed))
 
     x_map = type_field(X, -1.0)
     y_map = type_field(Y, -1.0)
-    z_map = type_field(Z, +1.0)
-    t_map = type_field(T, +1.0)
-    bracket = chart_bracket(chart, z_map, t_map, zero, h)
-    lifted = [lift_tangent(lift, F) for F in (x_map(zero), y_map(zero), bracket)]
-    return omega3_eval(lift, *lifted)
+    bracket = chart_bracket(chart, type_field(Z, +1.0), type_field(T, +1.0), h)
+    return omega3_eval(lift, x_map(zero), y_map(zero), bracket)
 
 
 def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,

@@ -228,12 +228,10 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
             IX = knots.acs_apply(loop, X)
             IY = knots.acs_apply(loop, Y)
             pair_scale = np.linalg.norm(X) * np.linalg.norm(Y)
-            m_compat = max(
-                m_compat,
-                abs(knots.omega(loop, X, Y)
-                    - knots.hermitian_metric(loop, IX, Y)) / pair_scale,
-                abs(knots.omega(loop, IX, IY) - knots.omega(loop, X, Y)) / pair_scale,
-            )
+            w = knots.omega(loop, X, Y)
+            m_compat = max(m_compat,
+                           abs(w - knots.hermitian_metric(loop, IX, Y)) / pair_scale,
+                           abs(knots.omega(loop, IX, IY) - w) / pair_scale)
             if fi < 2:  # the first two field pairs of each loop
                 nij = knots.nijenhuis_exact(chart, X, Y)
                 m_nij = max(m_nij, np.abs(nij).max() / (np.abs(X).max() * np.abs(Y).max()))
@@ -336,11 +334,8 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         m_cartan = abs(cc) / xi_scale
 
         # (3,0)-type identity and non-degeneracy probe of the 3-form
-        splits = [twistor.lift_tangent(lift, X) for X in Xs[:3]]
-        val = twistor.omega3_eval(lift, *splits)
-        JA = knots.acs_apply(base, splits[0].horizontal)
-        rotated = twistor.omega3_eval(
-            lift, twistor.SplitTangent(splits[0].vertical, JA), splits[1], splits[2])
+        val = twistor.omega3_eval(lift, *Xs[:3])
+        rotated = twistor.omega3_eval(lift, knots.acs_apply(base, Xs[0]), *Xs[1:3])
         m_type = abs(rotated - 1j * val) / float(np.prod(scales[:3]))
 
         table, denom = _nondegeneracy_table(lift, Xs[0])

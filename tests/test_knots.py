@@ -140,6 +140,8 @@ class TestTwoForm:
         X, Y, Z = (smooth_field(rng, loop) for _ in range(3))
         with pytest.raises(StepOutOfRange):
             d_omega_fd(chart, X, Y, Z, 1.0)
+        with pytest.raises(StepOutOfRange):
+            nijenhuis(chart, X, Y, 1.0)
 
 
 class TestChartBracket:
@@ -148,8 +150,7 @@ class TestChartBracket:
         chart = KnotChart(loop)
         X = smooth_field(rng, loop)
         Y = smooth_field(rng, loop)
-        zero = np.zeros_like(X)
-        br = chart_bracket(chart, lambda u: X, lambda u: Y, zero, 1e-4)
+        br = chart_bracket(chart, lambda u: X, lambda u: Y, 1e-4)
         assert np.abs(br).max() < 1e-12
 
     def test_linear_field_bracket_oracle(self, rng):
@@ -161,8 +162,7 @@ class TestChartBracket:
         # f(u) = <W, u> integrated: A = X constant, B(u) = f(u) X
         def f(u):
             return float(np.sum(W * u)) / loop.n
-        zero = np.zeros_like(X)
-        br = chart_bracket(chart, lambda u: X, lambda u: f(u) * X, zero, 1e-4)
+        br = chart_bracket(chart, lambda u: X, lambda u: f(u) * X, 1e-4)
         expected = (float(np.sum(W * X)) / loop.n) * X
         assert np.allclose(br, expected, atol=1e-6 * max(1.0, np.abs(expected).max()))
 

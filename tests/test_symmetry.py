@@ -1,4 +1,5 @@
-"""G2 equivariance of the closed-form operators.
+"""G2 equivariance of the closed-form operators, and the sample-roll and
+orientation-reversal rules of the knot-space operators.
 
 G2 is the stabilizer of phi0 and its Lie algebra is Lambda^2_14, so R = exp(A)
 with A the Lambda^2_14 part of a 2-form lies in G2. Rotating every loop and
@@ -7,9 +8,15 @@ output by R. A generic rotation Q of SO(7), the exponential of a whole 2-form,
 must break every operator that reads phi0 or psi0; the operators that read
 only the metric commute with it too.
 
-The finite-difference routes are left out: _centered scales its step by the
-largest component, which a rotation changes, so they agree only to about 1e-8.
-d_omega is left out because it vanishes identically, so no rotation breaks it.
+The finite-difference routes are left out of the rotation tests: _centered
+scales its step by the largest component, which a rotation changes, so they
+agree only to about 1e-8. d_omega is left out because it vanishes
+identically, so no rotation breaks it.
+
+Rolling the samples relabels them, which every operator must commute with.
+Reversing the orientation (samples j -> -j, so t = 0 stays) flips the unit
+tangent: omega and I change sign, while G and the Nijenhuis tensor, which
+reads I twice, do not.
 """
 
 from types import SimpleNamespace
@@ -90,7 +97,7 @@ def lift_tangent(c, M):
 
 def omega3_eval(c, M):
     lift, *fields = on_lift(c, M)
-    return twistor.omega3_eval(lift, *(twistor.lift_tangent(lift, F) for F in fields))
+    return twistor.omega3_eval(lift, *fields)
 
 
 def trace_vector(c, M):
@@ -151,3 +158,45 @@ def test_generic_rotation_breaks(c, op, covariant):
 @pytest.mark.parametrize("op, covariant", METRIC_ONLY, ids=ids(METRIC_ONLY))
 def test_metric_operators_commute_with_every_rotation(c, op, covariant):
     assert relative_change(c, op, c.Q, covariant) <= EQUIVARIANT
+
+
+SEEDS = (7, 8, 410)
+CLOSED_FORM = 1e-10  # largest relative change of a closed form under the rule
+FD = 1e-8            # the same for the finite-difference Nijenhuis tensor
+TRANSFORMS = {
+    "roll": lambda A: np.roll(A, 37, axis=0),
+    "reversal": lambda A: np.roll(A[::-1], 1, axis=0),
+}
+# (operator of a loop and two normal fields, its sign under reversal, bound)
+SAMPLE_RULES = [
+    (knots.omega, -1.0, CLOSED_FORM),
+    (knots.hermitian_metric, 1.0, CLOSED_FORM),
+    (lambda loop, X, Y: knots.acs_apply(loop, X), -1.0, CLOSED_FORM),
+    (lambda loop, X, Y: knots.nijenhuis_exact(knots.KnotChart(loop), X, Y), 1.0, CLOSED_FORM),
+    (lambda loop, X, Y: knots.nijenhuis(knots.KnotChart(loop), X, Y, 1e-4), 1.0, FD),
+]
+SAMPLE_IDS = ["omega", "hermitian_metric", "acs_apply", "nijenhuis_exact", "nijenhuis"]
+
+
+@pytest.fixture(scope="module", params=SEEDS)
+def drawn(request):
+    rng = np.random.default_rng(request.param)
+    loop = random_loop(rng, N)
+    return loop, random_normal_field(rng, loop), random_normal_field(rng, loop)
+
+
+@pytest.mark.parametrize("transform", list(TRANSFORMS))
+@pytest.mark.parametrize("op, reversal_sign, bound", SAMPLE_RULES, ids=SAMPLE_IDS)
+def test_sample_transform_rule(drawn, transform, op, reversal_sign, bound):
+    """op on the transformed samples and fields equals sign times the
+    transformed op, and the opposite sign is off by at least the output's
+    size, so the check cannot pass on a vanishing output."""
+    T = TRANSFORMS[transform]
+    loop, X, Y = drawn
+    before = op(loop, X, Y)
+    after = op(Loop7(T(loop.samples)), T(X), T(Y))
+    expected = T(before) if np.ndim(before) else before
+    sign = reversal_sign if transform == "reversal" else 1.0
+    scale = np.abs(expected).max()
+    assert np.abs(after - sign * expected).max() <= bound * scale
+    assert np.abs(after + sign * expected).max() >= scale

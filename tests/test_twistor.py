@@ -111,18 +111,16 @@ class TestLift:
 class TestComplexThreeForm:
     def test_type_30_identity(self, fixture, g2):
         _, lift, fields = fixture
-        splits = [lift_tangent(lift, X) for X in fields[:3]]
-        val = omega3_eval(lift, *splits)
+        val = omega3_eval(lift, *fields[:3])
         v = lift.sphere_curve
-        A = splits[0].horizontal
+        A = fields[0]
         JA = cross_field(g2, v, A - np.einsum("ni,ni->n", A, v)[:, None] * v)
-        rotated = omega3_eval(lift, SplitTangent(splits[0].vertical, JA),
-                              splits[1], splits[2])
+        rotated = omega3_eval(lift, JA, fields[1], fields[2])
         assert abs(rotated - 1j * val) < 1e-10 * max(abs(val), 1.0)
 
     def test_antisymmetry(self, fixture):
         _, lift, fields = fixture
-        a, b, c = [lift_tangent(lift, X) for X in fields[:3]]
+        a, b, c = fields[:3]
         assert omega3_eval(lift, a, b, c) == pytest.approx(
             -omega3_eval(lift, b, a, c), rel=1e-12)
 
@@ -130,9 +128,7 @@ class TestComplexThreeForm:
         # the imaginary part contracts the 4-form with the axis twice, so it
         # vanishes when a horizontal argument points along the axis
         _, lift, fields = fixture
-        along = SplitTangent(np.zeros_like(fields[0]), lift.sphere_curve.copy())
-        b, c = [lift_tangent(lift, X) for X in fields[1:3]]
-        assert abs(omega3_eval(lift, along, b, c).imag) < 1e-10
+        assert abs(omega3_eval(lift, lift.sphere_curve, *fields[1:3]).imag) < 1e-10
 
     def test_nondegenerate_on_type_10_frame(self, fixture):
         from g2knot.knots import acs_apply
@@ -143,8 +139,7 @@ class TestComplexThreeForm:
         for j in range(3):
             B = 0.5 * (fields[1 + j % 3] - 1j * acs_apply(base, fields[1 + j % 3]))
             C = 0.5 * (fields[(2 + j) % 4] - 1j * acs_apply(base, fields[(2 + j) % 4]))
-            sa, sb, sc = (SplitTangent(np.zeros_like(F), F) for F in (A, B, C))
-            best = max(best, abs(omega3_eval(lift, sa, sb, sc)))
+            best = max(best, abs(omega3_eval(lift, A, B, C)))
         assert best > 0.1
 
 
@@ -247,7 +242,7 @@ class TestCartanPairing:
                             + nijenhuis_exact(chart, A.imag, B.real)))
 
         fields = (typed(X, -1.0), typed(Y, -1.0), nij(typed(Z, 1.0), typed(T, 1.0)) / 4)
-        ref = omega3_eval(lift, *(lift_tangent(lift, F) for F in fields))
+        ref = omega3_eval(lift, *fields)
         cc = cartan_check(lift, X, Y, Z, T, h=1e-4)
         assert abs(cc - ref) <= 1e-5 * abs(ref)
 

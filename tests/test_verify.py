@@ -139,8 +139,7 @@ class TestNondegeneracyProbe:
         ref = np.zeros((7, 7), dtype=complex)
         for j in range(7):
             for k in range(j + 1, 7):
-                split = [twistor.SplitTangent(np.zeros_like(W), W) for W in (A, F[j], F[k])]
-                ref[j, k] = twistor.omega3_eval(lift, *split)
+                ref[j, k] = twistor.omega3_eval(lift, A, F[j], F[k])
                 assert denom[j, k] == np.abs(A).max() * np.abs(F[j]).max() * np.abs(F[k]).max()
         upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
         assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()

@@ -179,7 +179,8 @@ def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
 
 def omega3_slot(g2: G2Structure, v: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The pointwise matrix Omega_v(A, ., .) = rho(A, ., .) - i rho*(v, A, ., .),
-    of shape (..., 7, 7) for (..., 7) arrays v and A."""
+    of shape (..., 7, 7) for (..., 7) arrays v and A: every pair of the
+    other two slots at once, for the twistor suite's nondegeneracy probe."""
     A = np.asarray(A)
     slot = (A @ g2.rho_tensor.reshape(DIM, DIM * DIM)
             - 1j * (_pairs(v, A) @ g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)))
@@ -188,8 +189,9 @@ def omega3_slot(g2: G2Structure, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
                      B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (N,7) argument arrays."""
-    return np.einsum("...ij,...i,...j->...", omega3_slot(g2, v, A), B, C)
+    """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (7,) or (N,7) argument
+    arrays, as two contractions that stay real on real fields."""
+    return rho_field(g2, A, B, C) - 1j * rho_star_field(g2, v, A, B, C)
 
 
 def two_form_operator_matrix(g2: G2Structure) -> np.ndarray:

@@ -114,17 +114,18 @@ def _real(F) -> np.ndarray:
 
 def nijenhuis(chart: KnotChart, X: np.ndarray, Y: np.ndarray, h: float) -> np.ndarray:
     """Nijenhuis tensor N(X, Y) = [X,Y] + I[IX,Y] + I[X,IY] - [IX,IY] at u = 0
-    for chart-constant normal fields X, Y; [X,Y] = 0 by construction.
+    for chart-constant normal fields X, Y; [X,Y] = 0 by construction, and a
+    constant field has no derivative, so [IX,Y] = -D_Y(IX) and [X,IY] = D_X(IY).
     """
     X = normal_project(chart.base, _real(X))
     Y = normal_project(chart.base, _real(Y))
     zero = np.zeros_like(X)
-    # as chart maps u -> field: X and Y are constant, IX and IY turn with I_u
-    fX, fY = (lambda u: X), (lambda u: Y)
+    # as chart maps u -> field, IX and IY turn with I_u
     IX, IY = (lambda u: chart.acs(u, X)), (lambda u: chart.acs(u, Y))
-    return (chart.acs(zero, chart_bracket(chart, IX, fY, h))
-            + chart.acs(zero, chart_bracket(chart, fX, IY, h))
-            - chart_bracket(chart, IX, IY, h))
+    turned = chart_bracket(chart, IX, IY, h)  # checks h first
+    return (chart.acs(zero, -_centered(IX, Y, h))
+            + chart.acs(zero, _centered(IY, X, h))
+            - turned)
 
 
 def nijenhuis_exact(chart: KnotChart, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

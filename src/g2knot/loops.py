@@ -26,15 +26,17 @@ TWO_PI = 2.0 * np.pi
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """d/dt of periodic samples over [0, 2*pi), along axis 0."""
+    """d/dt of periodic samples over [0, 2*pi), along axis 0, through the half
+    spectrum (rfft/irfft); complex samples split into real and imaginary parts."""
+    if np.iscomplexobj(values):
+        return spectral_derivative(values.real) + 1j * spectral_derivative(values.imag)
     n = values.shape[0]
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.arange(n // 2 + 1.0)
     if n % 2 == 0:
         k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
-    spec = np.fft.fft(values, axis=0)
-    spec *= 1j * k.reshape((n,) + (1,) * (values.ndim - 1))  # in place: one spectrum fewer
-    out = np.fft.ifft(spec, axis=0)
-    return out.real if np.isrealobj(values) else out
+    spec = np.fft.rfft(values, axis=0)
+    spec *= 1j * k.reshape(k.shape + (1,) * (values.ndim - 1))  # in place: one spectrum fewer
+    return np.fft.irfft(spec, n, axis=0)
 
 
 def spectral_tail(values: np.ndarray, with_mean: bool = False) -> float:

@@ -409,6 +409,7 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
     betas = [rng.standard_normal(21) for _ in range(config.instanton_samples)]
     weights = [0.0, 1e-3, 1.0]
     g2 = standard_g2()
+    counts = {"flagged_samples": 0, "vanishing_samples": 0}
 
     def evaluate(item):
         i, coeffs = item
@@ -420,16 +421,23 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
             lifted = lifted_curvature_type_residual(form, loops)
         except ZeroCurvature:
             return None
-        mismatch = flag != (lifted < config.tol("lifted_instanton"))
-        return {"equivalence_mismatches": float(mismatch)}
+        vanishing = lifted < config.tol("lifted_instanton")
+        counts["flagged_samples"] += flag
+        counts["vanishing_samples"] += vanishing
+        return {"equivalence_mismatches": float(flag != vanishing)}
 
     digest = f"{config.instanton_samples} samples, weights {weights}, seed {config.seed}"
     report = _run("instanton", config, list(enumerate(betas)), evaluate,
                   [("equivalence_mismatches", 1.0, sum, False)], digest,
                   skip=("skipped_zero_curvature", "zero_curvature_cases"))
+    report.meta.update(counts)
     res7 = lifted_curvature_type_residual(contract(g2.rho, np.eye(7)[0]), loops)
     report.add_case("pure_seven_residual", res7, 0.1, digest, passed=res7 > 0.1)
-    report.cases.insert(1, report.cases.pop())  # ahead of the skip case, if any
+    # zero mismatches are vacuous when the flag never fires or the trace
+    # never vanishes: the smaller class must hold at least one sample
+    fewer = min(counts.values())
+    report.add_case("both_classes", fewer, 0.0, digest, passed=fewer > 0)
+    report.cases[1:] = report.cases[-2:] + report.cases[1:-2]  # ahead of the skip case, if any
     return report
 
 

@@ -173,6 +173,41 @@ class TestSpectralCalculus:
         numeric = spectral_derivative(spec.evaluate(t))
         assert np.allclose(numeric, spec.derivative(t), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [63, 65])
+    def test_derivative_exact_at_odd_n(self, rng, n):
+        # every mode up to (N - 1) / 2 is resolved: an odd N has no Nyquist mode
+        spec = random_spec(rng, n, (n - 1) // 2)
+        t = 2 * np.pi * np.arange(n) / n
+        exact = spec.derivative(t)
+        assert np.abs(spectral_derivative(spec.evaluate(t)) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_derivative_of_one_column(self):
+        t = 2 * np.pi * np.arange(64) / 64
+        got = spectral_derivative(np.sin(3 * t) + 0.5)
+        assert got.shape == (64,)
+        assert np.abs(got - 3 * np.cos(3 * t)).max() <= 1e-12
+
+    def test_nyquist_mode_differentiates_to_zero(self):
+        n = 64
+        t = 2 * np.pi * np.arange(n) / n
+        vals = np.cos(n * t / 2)[:, None] * np.arange(1.0, 8.0)
+        assert np.abs(spectral_derivative(vals)).max() <= 1e-12
+
+    def test_complex_derivative_matches_real_route(self, rng):
+        # by linearity, complex samples must agree with the real route on their
+        # real and imaginary parts, and with a full-spectrum fft/ifft derivative
+        for n in (64, 65):
+            vals = rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))
+            got = spectral_derivative(vals)
+            ref = spectral_derivative(vals.real) + 1j * spectral_derivative(vals.imag)
+            assert np.iscomplexobj(got)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            k = np.fft.fftfreq(n, d=1.0 / n)
+            if n % 2 == 0:
+                k[n // 2] = 0.0
+            full = np.fft.ifft(1j * k[:, None] * np.fft.fft(vals, axis=0), axis=0)
+            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+
     def test_derivative_of_constant_is_zero(self):
         vals = np.ones((64, 7)) * 3.5
         assert np.allclose(spectral_derivative(vals), 0.0, atol=1e-13)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from g2knot import twistor, verify
-from g2knot.algebra import cross_field, standard_g2
+from g2knot.algebra import G2Structure, cross_field, standard_g2
 from g2knot.errors import ConfigError
+from g2knot.forms import AltForm
 from g2knot.instanton import LIFTED_TOL, is_g2_instanton, lifted_curvature_type_residual
 from g2knot.loops import Loop7, normal_project
 from g2knot.verify import (SuiteReport, VerifyConfig, _family_calibrations,
@@ -235,11 +236,33 @@ class TestOtherSuites:
 
         monkeypatch.setattr(verify, "is_g2_instanton", count_flags)
         monkeypatch.setattr(verify, "lifted_curvature_type_residual", count_lifted)
-        suite_instanton(VerifyConfig(seed=seed))
+        report = suite_instanton(VerifyConfig(seed=seed))
         samples = lifted[:-1]  # the last call is pure_seven_residual
         assert len(flags) == len(samples) == 50
-        assert sum(flags) == 17
-        assert sum(r < LIFTED_TOL for r in samples) == 17
+        assert sum(flags) == report.meta["flagged_samples"] == 17
+        assert sum(r < LIFTED_TOL for r in samples) == report.meta["vanishing_samples"] == 17
+
+    def test_instanton_report_counts_both_classes(self):
+        report = suite_instanton(VerifyConfig(**SMALL))
+        # weights cycle through 0, 1e-3 and 1: samples 0, 3 and 6 are pure 14
+        assert report.meta["flagged_samples"] == report.meta["vanishing_samples"] == 3
+        assert [c["name"] for c in report.cases] == [
+            "equivalence_mismatches", "pure_seven_residual", "both_classes"]
+        assert case(report, "both_classes")["residual"] == 3.0
+        assert case(report, "both_classes")["pass"]
+
+    def test_both_classes_fails_with_flipped_psi(self, monkeypatch):
+        # a flipped psi flags no sample and lets no lifted trace vanish, so
+        # equivalence_mismatches passes vacuously; both_classes must not
+        g2 = standard_g2()
+        flipped = G2Structure(rho=g2.rho, metric=g2.metric, vol_coeff=g2.vol_coeff,
+                              rho_star=AltForm(4, -g2.rho_star.coeffs))
+        monkeypatch.setattr(verify, "standard_g2", lambda: flipped)
+        report = suite_instanton(VerifyConfig(**SMALL))
+        assert case(report, "equivalence_mismatches")["pass"]
+        assert report.meta["flagged_samples"] == report.meta["vanishing_samples"] == 0
+        assert not case(report, "both_classes")["pass"]
+        assert not report.passed
 
 
 class TestRunSuites:

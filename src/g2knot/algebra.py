@@ -111,15 +111,11 @@ def _pairs(a, b) -> np.ndarray:
 
     Every field contraction with rho, rho* or the cross product multiplies
     these by a (49, .) view of the cached tensor, so it runs as one matmul.
-    Real operands take einsum's outer product, which on (N, 7) fields is about
-    twice as fast as the broadcast product and bit-identical to it; complex
-    operands keep the broadcast product.
+    einsum's outer product is about twice as fast as the broadcast product on
+    real (N, 7) fields, and bit-identical to it on real and real x complex
+    operands.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype == b.dtype == np.float64:
-        p = np.einsum("...i,...j->...ij", a, b)
-    else:
-        p = a[..., :, None] * b[..., None, :]
+    p = np.einsum("...i,...j->...ij", a, b)
     return p.reshape(p.shape[:-2] + (DIM * DIM,))
 
 

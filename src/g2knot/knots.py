@@ -81,14 +81,10 @@ def _check_step(h: float):
 
 
 def _centered(f, d: np.ndarray, h: float):
-    """Centered difference (f(s d) - f(-s d)) / 2s with step s = h / max|d|.
-
-    The points s d must stay real, so a complex direction is split into its
-    real and imaginary parts; a zero direction gives zeros shaped like f.
+    """Centered difference (f(s d) - f(-s d)) / 2s with step s = h / max|d|
+    along a real direction d; a zero direction gives zeros shaped like f.
     """
-    d = np.asarray(d)
-    if np.iscomplexobj(d):
-        return _centered(f, d.real, h) + 1j * _centered(f, d.imag, h)
+    d = _real(d)
     scale = np.abs(d).max()
     if scale == 0.0:
         return np.zeros_like(f(d))

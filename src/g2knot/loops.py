@@ -26,10 +26,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """d/dt of periodic samples over [0, 2*pi), along axis 0, through the half
-    spectrum (rfft/irfft); complex samples split into real and imaginary parts."""
-    if np.iscomplexobj(values):
-        return spectral_derivative(values.real) + 1j * spectral_derivative(values.imag)
+    """d/dt of real periodic samples over [0, 2*pi), along axis 0, through the
+    half spectrum (rfft/irfft); complex samples raise TypeError."""
     n = values.shape[0]
     k = np.arange(n // 2 + 1.0)
     if n % 2 == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import omega3_integrand, rho_star_field, standard_g2
-from .knots import KnotChart, _centered, _check_step, chart_bracket
+from .knots import KnotChart, _centered, _check_step, nijenhuis_exact
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
 
@@ -63,7 +63,7 @@ def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     The deformed loop gamma + eps*X1 (at fixed parametrization) has unit
     tangent v + eps*P(X1')/|gamma'|, so the vertical component is the
     projection of X1'/|gamma'| onto v-perp, with the pointwise speed, and the
-    horizontal component is X1 itself.  Complex-linear.  Matches the
+    horizontal component is X1 itself.  X1 is real.  Matches the
     finite-difference oracle lift_tangent_fd to O(eps^2).
     """
     X1 = np.asarray(X1)
@@ -81,7 +81,7 @@ def lift_tangent_fd(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
 
 
 def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
-    """Covariant-derivative splitting (-X1'/c, X1) of a lifted field.
+    """Covariant-derivative splitting (-X1'/c, X1) of a real lifted field.
 
     The fiber component is the unprojected parameter derivative; it is the
     splitting for which the 4-form integrand below telescopes into a total
@@ -138,27 +138,19 @@ def xi_tilde(lift: LKnotLift, X1, X2, X3, X4) -> float:
     return float(integrate(lift.base, vals))
 
 
-def cartan_check(lift: LKnotLift, X, Y, Z, T, h: float) -> complex:
-    """Cartan pairing Omega((1,0)-fields; bracket of (0,1)-fields).
+def cartan_check(lift: LKnotLift, X, Y, Z, T) -> complex:
+    """Cartan pairing Omega(X^{1,0}, Y^{1,0}, [Z^{0,1}, T^{0,1}]) of the
+    complex 3-form with a bracket of (0,1)-fields, in closed form.
 
-    Builds type-preserving chart extensions X(u) = (1 - i I_u) x / 2 and
-    Z(u) = (1 + i I_u) z / 2 from the normal projections of the inputs,
-    computes the chart bracket [Z, T] at the base and returns
-    Omega(X, Y, [Z, T]) on these horizontal fields.
-    The magnitude measures the integrability obstruction of the knot-space
-    almost complex structure and tracks the Nijenhuis residual.
+    For chart-constant (0,1)-fields the (1,0) part of the bracket is
+    N(Z, T)/4, and a form of type (3,0) reads a real normal A as its (1,0)
+    part, so the pairing is Omega(X_N, Y_N, N(Z, T))/4 with N from
+    nijenhuis_exact. The magnitude measures the integrability obstruction of
+    the knot-space almost complex structure.
     """
-    chart = KnotChart(lift.base)
-    zero = np.zeros((lift.base.n, 7))
-
-    def type_field(seed_field, sign):
-        seed = normal_project(lift.base, seed_field)
-        return lambda u: 0.5 * (seed + sign * 1j * chart.acs(u, seed))
-
-    x_map = type_field(X, -1.0)
-    y_map = type_field(Y, -1.0)
-    bracket = chart_bracket(chart, type_field(Z, +1.0), type_field(T, +1.0), h)
-    return omega3_eval(lift, x_map(zero), y_map(zero), bracket)
+    base = lift.base
+    nij = nijenhuis_exact(KnotChart(base), Z, T)
+    return omega3_eval(lift, normal_project(base, X), normal_project(base, Y), nij) / 4
 
 
 def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
@@ -173,11 +165,12 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
     args = [W1, W2, W3, W4]
 
     def omega_at(dv, A, B, C):
+        # only -i rho*(v, A, B, C) moves with the fiber point: the centered
+        # difference of the rho(A, B, C) part is exactly 0, so it is not taken
         v = base_v + dv
         v = v / np.linalg.norm(v, axis=1)[:, None]
-        vals = omega3_integrand(standard_g2(), v, np.asarray(A.horizontal),
-                                np.asarray(B.horizontal), np.asarray(C.horizontal))
-        return complex(integrate(lift.base, vals))
+        vals = rho_star_field(standard_g2(), v, A.horizontal, B.horizontal, C.horizontal)
+        return -1j * integrate(lift.base, vals)
 
     lhs = 0.0 + 0.0j
     for a in range(4):

@@ -330,7 +330,7 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         m_dvs = abs(lhs - rhs) / max(abs(rhs), 1.0)
 
         # Cartan pairing of the 3-form with a bracket of (0,1)-fields
-        cc = twistor.cartan_check(lift, Xs[0], Xs[1], Xs[2], Xs[3], h=config.h)
+        cc = twistor.cartan_check(lift, Xs[0], Xs[1], Xs[2], Xs[3])
         m_cartan = abs(cc) / xi_scale
 
         # (3,0)-type identity and non-degeneracy probe of the 3-form

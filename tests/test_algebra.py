@@ -262,12 +262,16 @@ class TestKernelReference:
         return random_loop(np.random.default_rng(5), self.N, 5)
 
     def test_real_pairs_are_the_broadcast_product(self):
-        # the einsum outer product for real operands repeats the broadcast
-        # product bit for bit, also where one operand broadcasts over a stack
+        # the einsum outer product repeats the broadcast product bit for bit on
+        # real operands, also where one operand broadcasts over a stack, and on
+        # a real v against a complex field, as in omega3_slot
         rng = np.random.default_rng(11)
-        for sa, sb in [((7,), (7,)), ((self.N, 7), (self.N, 7)),
-                       ((self.N, 7), (4, self.N, 7)), ((4, self.N, 7), (self.N, 7))]:
-            a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        pairs = [(rng.standard_normal(sa), rng.standard_normal(sb))
+                 for sa, sb in [((7,), (7,)), ((self.N, 7), (self.N, 7)),
+                                ((self.N, 7), (4, self.N, 7)), ((4, self.N, 7), (self.N, 7))]]
+        v, re, im = (rng.standard_normal((self.N, 7)) for _ in range(3))
+        pairs.append((v, re + 1j * im))
+        for a, b in pairs:
             ref = a[..., :, None] * b[..., None, :]
             got = algebra._pairs(a, b)
             assert got.shape == ref.shape[:-2] + (49,)

@@ -10,8 +10,9 @@ from g2knot.knots import (KnotChart, acs_apply, chart_bracket, d_omega,
                           d_omega_fd, hermitian_metric, nijenhuis,
                           nijenhuis_exact, omega)
 from g2knot.loops import (FourierLoopSpec, Loop7, circle_loop,
-                          loop_from_fourier, normal_project, trig_interpolate,
-                          unit_speed_reparam)
+                          loop_from_fourier, normal_project, spectral_derivative,
+                          trig_interpolate, unit_speed_reparam)
+from g2knot.verify import random_loop, random_normal_field
 
 N = 256
 
@@ -259,6 +260,34 @@ class TestNijenhuisExact:
         _, chart, X, Y, exact = drawn
         assert rel_sup(nijenhuis_exact(chart, Y, X), -exact) <= 1e-14
 
+    @pytest.mark.parametrize("seed", [7, 8, 410])
+    def test_associator_form(self, g2, seed):
+        # a second closed form, through chi(a, b, c) = a*(b*c) + g(a, b)c
+        # - g(a, c)b, which vanishes when a, b, c span an associative 3-plane:
+        # with x = PX'/v, y = PY'/v and the curvature kappa = PT'/v,
+        # N(X, Y) = 2[chi(T, x, Y) - chi(T, y, X)] + 2P chi(kappa, X, Y)
+        #   + g(kappa, X)Y - g(kappa, Y)X + g(kappa, IY)IX - g(kappa, IX)IY.
+        # The routes apply the product rule in different places, which the
+        # spectral derivative obeys only to resolution; at N = 512 that gap
+        # is rounding
+        rng = np.random.default_rng(seed)
+        loop = random_loop(rng, 512, 5)
+        X, Y = (random_normal_field(rng, loop, 5) for _ in range(2))
+        T, v = loop.unit_tangent, loop.speeds[:, None]
+
+        def g(a, b):
+            return np.einsum("ni,ni->n", a, b)[:, None]
+
+        def chi(a, b, c):
+            return cross_field(g2, a, cross_field(g2, b, c)) + g(a, b) * c - g(a, c) * b
+
+        x, y, kappa = (normal_project(loop, spectral_derivative(F)) / v for F in (X, Y, T))
+        IX, IY = acs_apply(loop, X), acs_apply(loop, Y)
+        assoc = (2.0 * (chi(T, x, Y) - chi(T, y, X))
+                 + 2.0 * normal_project(loop, chi(kappa, X, Y))
+                 + g(kappa, X) * Y - g(kappa, Y) * X + g(kappa, IY) * IX - g(kappa, IX) * IY)
+        assert rel_sup(assoc, nijenhuis_exact(KnotChart(loop), X, Y)) <= 1e-10
+
 
 class TestRealOnly:
     """The knot-space operators that cast to real refuse complex fields
@@ -276,7 +305,8 @@ class TestRealOnly:
         lambda chart, A, B, C: nijenhuis_exact(chart, A, B),
         lambda chart, A, B, C: d_omega(chart, A, B, C),
         lambda chart, A, B, C: d_omega_fd(chart, A, B, C, 1e-4),
-    ], ids=["nijenhuis", "nijenhuis_exact", "d_omega", "d_omega_fd"])
+        lambda chart, A, B, C: chart_bracket(chart, lambda u: A, lambda u: B, 1e-4),
+    ], ids=["nijenhuis", "nijenhuis_exact", "d_omega", "d_omega_fd", "chart_bracket"])
     def test_complex_field_is_refused(self, drawn, op):
         chart, X, Y, Z = drawn
         for args in [(X + 1j * Y, Y, Z), (X, Y + 1j * Z, Z)]:

@@ -193,20 +193,12 @@ class TestSpectralCalculus:
         vals = np.cos(n * t / 2)[:, None] * np.arange(1.0, 8.0)
         assert np.abs(spectral_derivative(vals)).max() <= 1e-12
 
-    def test_complex_derivative_matches_real_route(self, rng):
-        # by linearity, complex samples must agree with the real route on their
-        # real and imaginary parts, and with a full-spectrum fft/ifft derivative
-        for n in (64, 65):
-            vals = rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))
-            got = spectral_derivative(vals)
-            ref = spectral_derivative(vals.real) + 1j * spectral_derivative(vals.imag)
-            assert np.iscomplexobj(got)
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            if n % 2 == 0:
-                k[n // 2] = 0.0
-            full = np.fft.ifft(1j * k[:, None] * np.fft.fft(vals, axis=0), axis=0)
-            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+    def test_complex_samples_are_refused(self, rng):
+        # the half-spectrum route takes real samples only; complex ones raise
+        # instead of losing their imaginary parts
+        vals = rng.standard_normal((64, 7)) + 1j * rng.standard_normal((64, 7))
+        with pytest.raises(TypeError):
+            spectral_derivative(vals)
 
     def test_derivative_of_constant_is_zero(self):
         vals = np.ones((64, 7)) * 3.5

@@ -10,8 +10,9 @@ only the metric commute with it too.
 
 The finite-difference routes are left out of the rotation tests: _centered
 scales its step by the largest component, which a rotation changes, so they
-agree only to about 1e-8. d_omega is left out because it vanishes
-identically, so no rotation breaks it.
+agree only to about 1e-8. The Cartan pairing is in: it is the closed form
+Omega(X_N, Y_N, N(Z, T))/4 and takes no step. d_omega is left out because it
+vanishes identically, so no rotation breaks it.
 
 Rolling the samples relabels them, which every operator must commute with.
 Reversing the orientation (samples j -> -j, so t = 0 stays) flips the unit
@@ -100,6 +101,11 @@ def omega3_eval(c, M):
     return twistor.omega3_eval(lift, *fields)
 
 
+def cartan_check(c, M):
+    lift, U, V, W = on_lift(c, M)
+    return twistor.cartan_check(lift, U, V, W, U)
+
+
 def trace_vector(c, M):
     rotated = M @ c.two_form @ M.T
     return hermitian_trace_vector(c.g2, AltForm(2, rotated[np.triu_indices(7, 1)]))
@@ -115,6 +121,7 @@ READS_G2 = [
     (acs_apply, True),
     (nijenhuis_exact, True),
     (omega3_eval, False),
+    (cartan_check, False),
     (trace_vector, True),
     (calibration, False),
 ]

@@ -7,7 +7,7 @@ import pytest
 
 from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
-from g2knot.knots import KnotChart, acs_apply, nijenhuis, nijenhuis_exact
+from g2knot.knots import KnotChart, chart_bracket, nijenhuis
 from g2knot.loops import (FourierLoopSpec, circle_loop, integrate,
                           loop_from_fourier, normal_project,
                           spectral_derivative)
@@ -212,7 +212,7 @@ class TestCartanPairing:
         loop = smooth_loop(rng, n=256)
         lift = lknot_lift(loop)
         fields = [smooth_field(rng, lift.base) for _ in range(4)]
-        cc = cartan_check(lift, *fields, h=1e-4)
+        cc = cartan_check(lift, *fields)
         chart = KnotChart(lift.base)
         nij = np.abs(nijenhuis(chart, fields[0], fields[1], 1e-4)).max()
         scale = np.prod([np.abs(F).max() for F in fields])
@@ -224,30 +224,30 @@ class TestCartanPairing:
     @pytest.mark.parametrize("seed", [7, 8, 410])
     def test_equals_omega_on_a_quarter_of_nijenhuis(self, seed):
         # for (0,1)-fields [Z, T]^{1,0} = N(Z, T)/4 and a (3,0)-form sees only
-        # the (1,0) part, so the FD bracket pairing matches the closed-form N
-        # extended complex-bilinearly
+        # the (1,0) part, so the closed form matches the FD bracket of the
+        # (0,1) type fields paired with the (1,0) parts of X and Y
         rng = np.random.default_rng(seed)
         lift = lknot_lift(random_loop(rng, N, 5))
         base = lift.base
         chart = KnotChart(base)
-        X, Y, Z, T = (random_normal_field(rng, base, 5) for _ in range(4))
+        zero = np.zeros((base.n, 7))
+        x, y, z, t = (normal_project(base, random_normal_field(rng, base, 5))
+                      for _ in range(4))
 
-        def typed(F, sign):
-            return 0.5 * (F + sign * 1j * acs_apply(base, F))
+        def const(F):
+            return lambda u: F
 
-        def nij(A, B):
-            return (nijenhuis_exact(chart, A.real, B.real)
-                    - nijenhuis_exact(chart, A.imag, B.imag)
-                    + 1j * (nijenhuis_exact(chart, A.real, B.imag)
-                            + nijenhuis_exact(chart, A.imag, B.real)))
+        def turned(F):
+            return lambda u: chart.acs(u, F)
 
-        fields = (typed(X, -1.0), typed(Y, -1.0), nij(typed(Z, 1.0), typed(T, 1.0)) / 4)
-        ref = omega3_eval(lift, *fields)
-        cc = cartan_check(lift, X, Y, Z, T, h=1e-4)
+        def type_10(F):
+            return 0.5 * (F - 1j * chart.acs(zero, F))
+
+        # [Z^{0,1}, T^{0,1}] = (i([z, It] + [Iz, t]) - [Iz, It]) / 4, with
+        # [z, t] = 0 for constant fields
+        bracket = 0.25 * (1j * (chart_bracket(chart, const(z), turned(t), 1e-4)
+                                + chart_bracket(chart, turned(z), const(t), 1e-4))
+                          - chart_bracket(chart, turned(z), turned(t), 1e-4))
+        ref = omega3_eval(lift, type_10(x), type_10(y), bracket)
+        cc = cartan_check(lift, x, y, z, t)
         assert abs(cc - ref) <= 1e-5 * abs(ref)
-
-    def test_step_validation(self):
-        lift = lknot_lift(circle_loop(64))
-        X = np.tile(np.eye(7)[2], (64, 1))
-        with pytest.raises(StepOutOfRange):
-            cartan_check(lift, X, X, X, X, h=1.0)

@@ -129,15 +129,28 @@ def cross_field(g2: G2Structure, X, Y) -> np.ndarray:
     return _pairs(X, Y) @ g2.cross_tensor.reshape(DIM * DIM, DIM)
 
 
+def cross_matrix(g2: G2Structure, X) -> np.ndarray:
+    """Pointwise matrices of shape (..., 7, 7) for (..., 7) arrays X whose
+    row j is X ⋆ e_j: the products of X with every basis vector at once."""
+    X = np.asarray(X)
+    return (X @ g2.cross_tensor.reshape(DIM, DIM * DIM)).reshape(X.shape[:-1] + (DIM, DIM))
+
+
 def rho_field(g2: G2Structure, A, B, C) -> np.ndarray:
     """Pointwise rho(A, B, C) on (7,) or (N,7) argument arrays."""
     return np.sum((_pairs(A, B) @ g2.rho_tensor.reshape(DIM * DIM, DIM)) * np.asarray(C), axis=-1)
 
 
+def rho_star_covector(g2: G2Structure, B, C, D) -> np.ndarray:
+    """Pointwise covector rho*(., B, C, D) on (7,) or (N,7) argument arrays:
+    the (C, D) pairs against rho* give rho*(., ., C, D), applied to B."""
+    slots = _pairs(C, D) @ g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM).T
+    return np.einsum("...ij,...j->...i", slots.reshape(slots.shape[:-1] + (DIM, DIM)), B)
+
+
 def rho_star_field(g2: G2Structure, A, B, C, D) -> np.ndarray:
     """Pointwise rho*(A, B, C, D) on (7,) or (N,7) argument arrays."""
-    psi = g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)
-    return np.sum((_pairs(A, B) @ psi) * _pairs(C, D), axis=-1)
+    return np.sum(A * rho_star_covector(g2, B, C, D), axis=-1)
 
 
 @dataclass(frozen=True)

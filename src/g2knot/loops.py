@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,9 +83,21 @@ def _cos_sin_coeffs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _trig_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _grid_table(n: int, m: int) -> np.ndarray:
+    """Read-only (2, n, m) table of cos(k t_j) and sin(k t_j) on the uniform
+    grid t_j = 2 pi j / n for k < m: the cos/sin block of _trig_eval on that
+    grid, computed once for every loop and field sampled there."""
+    angles = np.outer(TWO_PI * np.arange(n) / n, np.arange(m))
+    table = np.stack((np.cos(angles), np.sin(angles)))
+    table.flags.writeable = False
+    return table
+
+
+def _trig_eval(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """sum_k a[k, c] cos(k t) + b[k, c] sin(k t) at each t for every column c
-    of the (M, C) coefficients.
+    of the (M, C) coefficients; an int t = n means the uniform grid
+    2 pi j / n, j < n, whose cos/sin block comes from _grid_table when Q = 1.
 
     With k = q S + r (S = min(M, 32), 0 <= r < S, 0 <= q < Q = ceil(M / S)),
     angle addition turns the sum over k into even_0 + sum over q >= 1 of
@@ -94,10 +107,15 @@ def _trig_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     baby and Q - 1 giant steps, two matmuls give every even_q and odd_q, and
     one contraction over q finishes: 2 (S + Q - 1) transcendentals per point,
     not 2 M. For M <= 32, Q = 1 and this is exactly cos(k t) @ a + sin(k t) @ b."""
-    t = np.ravel(np.asarray(t, dtype=float))
     m, c = a.shape
     s = min(m, _BABY_STEP)
     q = -(-m // s)
+    table = None
+    if isinstance(t, (int, np.integer)):
+        if q == 1:
+            table = _grid_table(int(t), m)
+        t = TWO_PI * np.arange(t) / t
+    t = np.ravel(np.asarray(t, dtype=float))
     # split[0] multiplies cos(r t) and split[1] sin(r t). Row (q, c) of each
     # gives even_q of column c for q < Q, then odd_q for 1 <= q < Q: the q = 0
     # giant step is the identity, so odd_0 would only be multiplied by 0.
@@ -110,10 +128,13 @@ def _trig_eval(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.empty((t.size, c))
     for start in range(0, t.size, block):
         rows = t[start:start + block]
-        angles = np.outer(rows, modes)
-        trig = np.empty((2,) + angles.shape)
-        np.cos(angles, out=trig[0])
-        np.sin(angles, out=trig[1])
+        if table is not None:
+            trig = table[:, start:start + block]
+        else:
+            angles = np.outer(rows, modes)
+            trig = np.empty((2,) + angles.shape)
+            np.cos(angles, out=trig[0])
+            np.sin(angles, out=trig[1])
         parts = split[0] @ trig[0, :, :s].T
         parts += split[1] @ trig[1, :, :s].T
         steps = parts[c:].reshape(2, q - 1, c, rows.size)
@@ -188,6 +209,11 @@ class FourierLoopSpec:
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         return _trig_eval(self.cos_coeffs, self.sin_coeffs, t)
 
+    def sample(self) -> np.ndarray:
+        """The values at the n uniform grid points 2 pi j / n, as evaluate
+        gives them there."""
+        return _trig_eval(self.cos_coeffs, self.sin_coeffs, self.n)
+
     def derivative(self, t: np.ndarray) -> np.ndarray:
         k = np.arange(self.max_mode + 1)[:, None]
         return _trig_eval(k * self.sin_coeffs, -k * self.cos_coeffs, t)
@@ -195,8 +221,7 @@ class FourierLoopSpec:
 
 def loop_from_fourier(spec: FourierLoopSpec) -> Loop7:
     """Sample a trigonometric-polynomial loop at its uniform grid."""
-    t = TWO_PI * np.arange(spec.n) / spec.n
-    return Loop7(spec.evaluate(t))
+    return Loop7(spec.sample())
 
 
 def integrate(loop: Loop7, f) -> float:
@@ -214,8 +239,9 @@ def _arclength_solve(loop: Loop7, values: np.ndarray | None = None):
 
     Every evaluation carries the sample columns with the speed and the
     arclength; the t returned is the one whose residual passed, with the
-    samples evaluated there. On `loop gen` loops the warm start passes at
-    the first evaluation at N = 2048; at N = 512 one Newton step follows."""
+    samples evaluated there. On `loop gen` loops the septic warm start
+    passes at the first evaluation from N = 512 on (at N = 512 almost
+    always); at N = 64 to 256 one or two Newton steps follow."""
     n = loop.n
     a, b = _cos_sin_coeffs(loop.speeds)
     # Column 0 is the speed, column 1 the periodic part of its antiderivative;
@@ -229,27 +255,36 @@ def _arclength_solve(loop: Loop7, values: np.ndarray | None = None):
 
     # Warm start: the arclength on the grid is one irfft of the periodic
     # column (k = 0 dropped; an even N's Nyquist sine vanishes there). The
-    # nodes (s_j, t_j), closed by (L, 2 pi), with dt/ds = 1/v and
-    # d2t/ds2 = -v'/v^3 give a quintic Hermite inverse, accurate to O(h^6).
+    # nodes (s_j, t_j), closed by (L, 2 pi), with dt/ds = 1/v,
+    # d2t/ds2 = -v'/v^3 and d3t/ds3 = (3 v'^2 - v v'')/v^5 give a septic
+    # Hermite inverse, accurate to O(h^8).
     half = 0.5 * n * (coeffs[0][:, 1] - 1j * coeffs[1][:, 1])
     half[0] = 0.0
     s = np.append(a[0] * loop.params + np.fft.irfft(half, n) + offset, total)
     nodes = np.append(loop.params, TWO_PI)
-    speed = np.append(loop.speeds, loop.speeds[0])
-    bend = -spectral_derivative(loop.speeds) / loop.speeds ** 3
-    bend = np.append(bend, bend[0])
+    v = loop.speeds
+    dv = spectral_derivative(v)
+    slopes = np.stack([1.0 / v, -dv / v ** 3,
+                       (3.0 * dv * dv - v * spectral_derivative(dv)) / v ** 5])
+    slopes = np.append(slopes, slopes[:, :1], axis=1)
     j = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 1)
     h = s[j + 1] - s[j]
     x = (targets - s[j]) / h
+    # d, c, e: the first three x-derivatives of t at either end, x = 0 and 1
+    powers = np.stack([h, h * h, h * h * h])
+    (d0, c0, e0), (d1, c1, e1) = powers * slopes[:, j], powers * slopes[:, j + 1]
     rise = nodes[j + 1] - nodes[j]
-    d0, d1 = h / speed[j], h / speed[j + 1]
-    c0, c1 = h * h * bend[j], h * h * bend[j + 1]
-    # t = nodes[j] + p(x), p the quintic with p(0) = 0, p(1) = rise and
-    # p', p'' = d, c at both ends, in powers of x
-    t = nodes[j] + x * (d0 + x * (0.5 * c0 + x * (
-        10.0 * rise - 6.0 * d0 - 4.0 * d1 - 1.5 * c0 + 0.5 * c1 + x * (
-            -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 1.5 * c0 - c1 + x * (
-                6.0 * rise - 3.0 * (d0 + d1) - 0.5 * (c0 - c1))))))
+    A = rise - d0 - 0.5 * c0 - e0 / 6.0
+    B = d1 - d0 - c0 - 0.5 * e0
+    C = c1 - c0 - e0
+    D = e1 - e0
+    # t = nodes[j] + p(x), p the septic with p(0) = 0, p(1) = rise and
+    # p', p'', p''' = d, c, e at both ends, in powers of x
+    t = nodes[j] + x * (d0 + x * (0.5 * c0 + x * (e0 / 6.0 + x * (
+        35.0 * A - 15.0 * B + 2.5 * C - D / 6.0 + x * (
+            -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D + x * (
+                70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D + x * (
+                    -20.0 * A + 10.0 * B - 2.0 * C + D / 6.0)))))))
 
     if values is not None:
         coeffs = tuple(np.concatenate(pair, axis=1)
@@ -269,7 +304,7 @@ def _arclength_solve(loop: Loop7, values: np.ndarray | None = None):
 
 def arclength_params(loop: Loop7) -> np.ndarray:
     """Parameters t(s_j) at which arclength is uniform: Newton on the
-    spectrally integrated speed from a quintic Hermite inverse of the grid
+    spectrally integrated speed from a septic Hermite inverse of the grid
     arclength. Raises UnderResolved when Newton does not converge."""
     return _arclength_solve(loop)[0]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import omega3_integrand, rho_star_field, standard_g2
+from .algebra import omega3_integrand, rho_star_covector, rho_star_field, standard_g2
 from .knots import KnotChart, _centered, _check_step, nijenhuis_exact
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
@@ -164,17 +164,17 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
     base_v = lift.sphere_curve
     args = [W1, W2, W3, W4]
 
-    def omega_at(dv, A, B, C):
-        # only -i rho*(v, A, B, C) moves with the fiber point: the centered
-        # difference of the rho(A, B, C) part is exactly 0, so it is not taken
+    def omega_at(dv, q):
+        # only -i rho*(v, A, B, C) = -i v . q moves with the fiber point: the
+        # centered difference of the rho(A, B, C) part is exactly 0, so it is
+        # not taken, and q = rho*(., A, B, C) is contracted once per direction
         v = base_v + dv
         v = v / np.linalg.norm(v, axis=1)[:, None]
-        vals = rho_star_field(standard_g2(), v, A.horizontal, B.horizontal, C.horizontal)
-        return -1j * integrate(lift.base, vals)
+        return -1j * integrate(lift.base, np.sum(v * q, axis=1))
 
     lhs = 0.0 + 0.0j
     for a in range(4):
-        rest = args[:a] + args[a + 1:]
-        lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, *rest), args[a].vertical, h)
+        q = rho_star_covector(standard_g2(), *(W.horizontal for W in args[:a] + args[a + 1:]))
+        lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, q), args[a].vertical, h)
     rhs = 1j * integrate(lift.base, xi_eval(*args))
     return lhs, complex(rhs)

@@ -14,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from . import knots, twistor
-from .algebra import (cross_field, is_associative, omega3_slot, standard_g2,
-                      two_form_decompose)
+from .algebra import (cross_field, cross_matrix, is_associative, omega3_slot,
+                      standard_g2, two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
 from .instanton import (INSTANTON_TOL, LIFTED_TOL, is_g2_instanton,
@@ -173,7 +173,7 @@ def random_normal_field(rng: np.random.Generator, loop: Loop7,
                         max_mode: int = 5) -> np.ndarray:
     """Random smooth normal field along a loop, from the same spectral family."""
     spec = random_fourier_spec(rng, loop.n, max_mode)
-    return normal_project(loop, spec.evaluate(loop.params))
+    return normal_project(loop, spec.sample())
 
 
 def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
@@ -286,12 +286,12 @@ def _nondegeneracy_table(lift: twistor.LKnotLift,
     """The complex 3-form on the (1,0)-part A of X and the (1,0)-parts F_j of
     the seven projected constant basis fields: table[j, k] = Omega(A, F_j, F_k),
     with the scale max|A| max|F_j| max|F_k| (each F factor floored at 1e-12)."""
-    base = lift.base
+    base, T = lift.base, lift.sphere_curve
     A = _type_10_field(base, X)
-    # F[n, j] = F_j(t_n), so F[n] @ slot[n] @ F[n].T holds all pairs at t_n
-    F = np.stack([_type_10_field(base, normal_project(base, np.tile(e, (base.n, 1))))
-                  for e in np.eye(7)], axis=1)
-    slot = omega3_slot(standard_g2(), lift.sphere_curve, A)
+    # F[n, j] = F_j(t_n), so F[n] @ slot[n] @ F[n].T holds all pairs at t_n.
+    # Row j of P = 1 - T T^t is the projected e_j, and I P e_j = T ⋆ e_j.
+    F = 0.5 * (np.eye(7) - T[:, :, None] * T[:, None, :] - 1j * cross_matrix(standard_g2(), T))
+    slot = omega3_slot(standard_g2(), T, A)
     table = integrate(base, F @ slot @ F.transpose(0, 2, 1))
     norms = np.maximum(np.abs(F).max(axis=(0, 2)), 1e-12)
     return table, np.abs(A).max() * norms[:, None] * norms[None, :]

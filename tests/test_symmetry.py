@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2knot import knots, twistor
+from g2knot import algebra, knots, twistor
 from g2knot.algebra import (hermitian_trace_vector, is_associative, standard_g2,
                             two_form_decompose)
 from g2knot.forms import AltForm
@@ -101,6 +101,10 @@ def omega3_eval(c, M):
     return twistor.omega3_eval(lift, *fields)
 
 
+def rho_star_covector(c, M):
+    return algebra.rho_star_covector(c.g2, *(F @ M.T for F in c.lift_fields))
+
+
 def cartan_check(c, M):
     lift, U, V, W = on_lift(c, M)
     return twistor.cartan_check(lift, U, V, W, U)
@@ -121,6 +125,7 @@ READS_G2 = [
     (acs_apply, True),
     (nijenhuis_exact, True),
     (omega3_eval, False),
+    (rho_star_covector, True),
     (cartan_check, False),
     (trace_vector, True),
     (calibration, False),

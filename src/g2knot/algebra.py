@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,7 +36,8 @@ def standard_phi() -> AltForm:
 @dataclass(frozen=True)
 class G2Structure:
     """A non-degenerate 3-form with its induced metric, volume and 4-form,
-    and the dense tensors of rho, rho* and the cross product, built once."""
+    and the dense tensors of rho, rho* and the cross product, built once;
+    the 2-form operator L is built on first use."""
 
     rho: AltForm
     metric: np.ndarray          # 7x7 symmetric positive definite
@@ -54,6 +55,13 @@ class G2Structure:
         # (x*y)^k = g^{kl} rho_{ijl} x^i y^j
         ct = np.tensordot(self.rho_tensor, self.metric_inv, axes=([2], [0]))
         object.__setattr__(self, "cross_tensor", ct)
+
+    @cached_property
+    def two_form_operator(self) -> np.ndarray:
+        """two_form_operator_matrix of this structure, read-only."""
+        L = two_form_operator_matrix(self)
+        L.flags.writeable = False
+        return L
 
     def inner(self, x, y) -> float:
         return float(np.asarray(x) @ self.metric @ np.asarray(y))
@@ -223,7 +231,7 @@ def two_form_decompose(g2: G2Structure, beta: AltForm) -> tuple[AltForm, AltForm
     """
     if beta.degree != 2:
         raise ValueError("expected a 2-form")
-    L = two_form_operator_matrix(g2)
+    L = g2.two_form_operator
     c = beta.coeffs
     beta7 = AltForm(2, (L @ c + c) / 3.0)
     beta14 = AltForm(2, (2.0 * c - L @ c) / 3.0)

@@ -351,18 +351,21 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
                 f"{config.loops} loops, seed {config.seed}")
 
 
-def _family_calibrations(loop: Loop7, X: np.ndarray, partner,
-                         steps: np.ndarray) -> np.ndarray:
-    """Calibration values of the plane (X_N, partner(X_N), tangent) along the
-    family of loops flowed by s * X."""
-    out = []
-    for s in steps:
-        moved = Loop7(loop.samples + s * X)
-        X_N = normal_project(moved, X)
-        P = partner(moved, X_N)
-        idx = slice(0, None, max(1, moved.n // 16))
-        out.append(is_associative(standard_g2(), X_N[idx], P[idx], moved.unit_tangent[idx])[1])
-    return np.concatenate(out)
+def _family_calibrations(loop: Loop7, X: np.ndarray, Y: np.ndarray,
+                         steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration values of the planes (X_N, T ⋆ X_N, T) and of the control
+    planes (X_N, P Y, T), P the normal projection, at 16 sampled points of
+    each loop in the family flowed by s * X: one stacked associativity test,
+    after every flowed loop is built and so checked for immersion."""
+    g2 = standard_g2()
+    idx = slice(0, None, max(1, loop.n // 16))
+    moved = [loop if s == 0 else Loop7(loop.samples + s * X) for s in steps]
+    X_N = np.array([normal_project(lp, X)[idx] for lp in moved])
+    Y_N = np.array([normal_project(lp, Y)[idx] for lp in moved])
+    T = np.array([lp.unit_tangent[idx] for lp in moved])
+    partners = np.array([cross_field(g2, T, X_N), Y_N])
+    calibration, control = is_associative(g2, X_N, partners, T)[1]
+    return calibration.ravel(), control.ravel()
 
 
 def suite_associative(config: VerifyConfig) -> SuiteReport:
@@ -385,9 +388,7 @@ def suite_associative(config: VerifyConfig) -> SuiteReport:
         if Y is None:
             return None
         try:
-            calib = _family_calibrations(
-                loop, X, lambda lp, xn: cross_field(standard_g2(), lp.unit_tangent, xn), steps)
-            control = _family_calibrations(loop, X, lambda lp, xn: normal_project(lp, Y), steps)
+            calib, control = _family_calibrations(loop, X, Y, steps)
         except ImmersionViolation:
             return None
         return {"calibration": float(np.abs(calib - 1.0).max()),

@@ -237,6 +237,30 @@ class TestOperatorRoutes:
         ref = wedge_hodge_operator(g2)
         assert np.abs(two_form_operator_matrix(g2) - ref).max() <= 1e-15 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("build", [standard_g2, lambda: metric_from_three_form(standard_phi())],
+                             ids=["standard_g2", "from_three_form"])
+    def test_cached_operator_is_read_only_fresh_copy(self, build):
+        g2 = build()
+        L = g2.two_form_operator
+        assert g2.two_form_operator is L
+        assert not L.flags.writeable
+        assert np.array_equal(L, two_form_operator_matrix(g2))
+
+    def test_operator_built_on_first_use(self, monkeypatch):
+        g2 = metric_from_three_form(standard_phi())
+        assert "two_form_operator" not in vars(g2)
+        calls = []
+
+        def counted(g2):
+            calls.append(g2)
+            return two_form_operator_matrix(g2)
+
+        monkeypatch.setattr(algebra, "two_form_operator_matrix", counted)
+        beta = AltForm(2, np.arange(21.0))
+        for _ in range(3):
+            two_form_decompose(g2, beta)
+        assert calls == [g2]
+
 
 def assert_rel(got, ref, tol=1e-13):
     assert np.shape(got) == np.shape(ref)
@@ -418,6 +442,26 @@ class TestAssociativeStacks:
             assert flags[i] == ref_flag
             assert abs(calibs[i] - ref_calib) <= 1e-15
         assert flags[::2].all()
+
+    def test_multi_axis_stack_matches_reference(self, g2):
+        # the associative suite's shape: (calibration/control, step, point, 7)
+        U, V, W = (a.reshape(2, 5, 16, 7)
+                   for a in associative_mix(g2, np.random.default_rng(24), 160))
+        flags, calibs = is_associative(g2, U, V, W)
+        assert flags.shape == calibs.shape == (2, 5, 16)
+        for i in np.ndindex(2, 5, 16):
+            ref_flag, ref_calib = ref_is_associative(g2, U[i], V[i], W[i])
+            assert flags[i] == ref_flag
+            assert abs(calibs[i] - ref_calib) <= 1e-15
+        assert flags.reshape(-1)[::2].all()
+
+    @pytest.mark.parametrize("row", [(0, 0, 0), (0, 3, 9), (1, 4, 15)])
+    def test_degenerate_row_in_multi_axis_stack_rejected(self, g2, row):
+        U, V, W = (a.reshape(2, 5, 16, 7)
+                   for a in associative_mix(g2, np.random.default_rng(24), 160))
+        W[row] = 2.0 * U[row] - V[row]
+        with pytest.raises(DegenerateSpan):
+            is_associative(g2, U, V, W)
 
     def test_stack_broadcasts_against_one_vector(self, g2):
         rng = np.random.default_rng(7)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from g2knot import twistor, verify
-from g2knot.algebra import G2Structure, cross_field, standard_g2
-from g2knot.errors import ConfigError
+from g2knot.algebra import G2Structure, cross_field, is_associative, standard_g2
+from g2knot.errors import ConfigError, ImmersionViolation
 from g2knot.forms import AltForm
 from g2knot.instanton import LIFTED_TOL, is_g2_instanton, lifted_curvature_type_residual
 from g2knot.loops import Loop7, normal_project
@@ -196,22 +196,78 @@ class TestOtherSuites:
 
     @pytest.mark.parametrize("partner", ["rotated", "control"])
     def test_family_calibrations_match_per_point_reference(self, partner):
+        # the calibration array pairs X_N with T × X_N, the control array with Y_N
         rng = np.random.default_rng(23)
         loop = random_loop(rng, 256)
         X, Y = random_normal_field(rng, loop), random_normal_field(rng, loop)
         g2 = standard_g2()
-        partner = {"rotated": lambda lp, xn: cross_field(g2, lp.unit_tangent, xn),
-                   "control": lambda lp, xn: normal_project(lp, Y)}[partner]
+        partner_field = {"rotated": lambda lp, xn: cross_field(g2, lp.unit_tangent, xn),
+                         "control": lambda lp, xn: normal_project(lp, Y)}[partner]
         steps = np.linspace(-0.1, 0.1, 5)
         ref = []
         for s in steps:
             moved = Loop7(loop.samples + s * X)
             X_N = normal_project(moved, X)
-            P, T = partner(moved, X_N), moved.unit_tangent
+            P, T = partner_field(moved, X_N), moved.unit_tangent
             ref += [ref_is_associative(g2, X_N[t], P[t], T[t])[1] for t in range(0, 256, 16)]
-        got = _family_calibrations(loop, X, partner, steps)
-        assert got.shape == (5 * 16,)
+        calib, control = _family_calibrations(loop, X, Y, steps)
+        got = {"rotated": calib, "control": control}[partner]
+        assert calib.shape == control.shape == (5 * 16,)
         assert np.abs(got - np.asarray(ref)).max() <= 1e-14
+
+    def test_immersion_failure_at_one_step_skips_its_family(self, monkeypatch):
+        original = verify._family_calibrations
+
+        def run_recording_families():
+            families = []
+
+            def record(*args):
+                families.append(original(*args))
+                return families[-1]
+
+            monkeypatch.setattr(verify, "_family_calibrations", record)
+            return families, suite_associative(VerifyConfig(**SMALL))
+
+        clean_families, clean = run_recording_families()
+        assert clean.meta["skipped_families"] == 0 and len(clean_families) == 4
+
+        builds = []
+
+        def failing_loop(samples):
+            builds.append(samples)
+            if len(builds) == 4:  # s = 0.1 of the first family; s = 0 builds nothing
+                raise ImmersionViolation("planted at a nonzero flow step")
+            return Loop7(samples)
+
+        monkeypatch.setattr(verify, "Loop7", failing_loop)
+        families, report = run_recording_families()
+        assert report.meta["skipped_families"] == 1
+        assert case(report, "skipped_families")["residual"] == 1.0
+        assert len(families) == 3
+        for (calib, control), (ref_calib, ref_control) in zip(families, clean_families[1:]):
+            assert np.array_equal(calib, ref_calib) and np.array_equal(control, ref_control)
+        assert case(report, "calibration")["residual"] == max(
+            float(np.abs(c - 1.0).max()) for c, _ in families)
+        assert case(report, "control")["residual"] == min(
+            float(np.abs(c).min()) for _, c in families)
+
+    def test_associative_suite_call_counts(self, monkeypatch):
+        # one stacked associativity test per family, and the flowed loops built
+        # once each, the s = 0 member being the drawn loop itself
+        calls = {"is_associative": 0, "Loop7": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(verify, "is_associative", counted("is_associative", is_associative))
+        monkeypatch.setattr(verify, "Loop7", counted("Loop7", Loop7))
+        report = suite_associative(VerifyConfig(**SMALL))
+        assert report.meta["skipped_families"] == 0
+        assert calls["is_associative"] == 4  # families at SMALL
+        assert calls["Loop7"] <= 4 * 4
 
     def test_instanton_suite_passes(self):
         report = suite_instanton(VerifyConfig(**SMALL))

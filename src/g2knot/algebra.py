@@ -120,8 +120,8 @@ def _pairs(a, b) -> np.ndarray:
     Every field contraction with rho, rho* or the cross product multiplies
     these by a (49, .) view of the cached tensor, so it runs as one matmul.
     einsum's outer product is about twice as fast as the broadcast product on
-    real (N, 7) fields, and bit-identical to it on real and real x complex
-    operands.
+    real (N, 7) fields, and bit-identical to it on real operands (and on the
+    real x complex pairs that only the tests pass).
     """
     p = np.einsum("...i,...j->...ij", a, b)
     return p.reshape(p.shape[:-2] + (DIM * DIM,))
@@ -135,13 +135,6 @@ def cross(g2: G2Structure, x, y) -> np.ndarray:
 def cross_field(g2: G2Structure, X, Y) -> np.ndarray:
     """Pointwise vector product for (7,) or (N,7) arrays of vectors; complex-linear."""
     return _pairs(X, Y) @ g2.cross_tensor.reshape(DIM * DIM, DIM)
-
-
-def cross_matrix(g2: G2Structure, X) -> np.ndarray:
-    """Pointwise matrices of shape (..., 7, 7) for (..., 7) arrays X whose
-    row j is X ⋆ e_j: the products of X with every basis vector at once."""
-    X = np.asarray(X)
-    return (X @ g2.cross_tensor.reshape(DIM, DIM * DIM)).reshape(X.shape[:-1] + (DIM, DIM))
 
 
 def rho_field(g2: G2Structure, A, B, C) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import omega3_integrand, rho_star_covector, rho_star_field, standard_g2
-from .knots import KnotChart, _centered, _check_step, nijenhuis_exact
+from .knots import KnotChart, _centered, _check_step, _real, nijenhuis_exact
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
 
@@ -63,10 +63,10 @@ def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     The deformed loop gamma + eps*X1 (at fixed parametrization) has unit
     tangent v + eps*P(X1')/|gamma'|, so the vertical component is the
     projection of X1'/|gamma'| onto v-perp, with the pointwise speed, and the
-    horizontal component is X1 itself.  X1 is real.  Matches the
+    horizontal component is X1 itself.  A complex X1 is refused.  Matches the
     finite-difference oracle lift_tangent_fd to O(eps^2).
     """
-    X1 = np.asarray(X1)
+    X1 = _real(X1)
     dX = normal_project(lift.base, spectral_derivative(X1))
     return SplitTangent(vertical=dX / lift.base.speeds[:, None], horizontal=X1)
 
@@ -74,7 +74,7 @@ def lift_tangent(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
 def lift_tangent_fd(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     """Independent oracle for lift_tangent: finite difference, with step
     FD_EPS, of the deformed loop's unit tangent at fixed parametrization."""
-    X1 = np.asarray(X1, dtype=float)
+    X1 = _real(X1)
     vp = Loop7(lift.base.samples + FD_EPS * X1).unit_tangent
     vm = Loop7(lift.base.samples - FD_EPS * X1).unit_tangent
     return SplitTangent(vertical=(vp - vm) / (2.0 * FD_EPS), horizontal=X1)
@@ -88,7 +88,7 @@ def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
     t-derivative.  It differs from lift_tangent by the component of X1'/c
     along v, which is generically of order one.
     """
-    X1 = np.asarray(X1)
+    X1 = _real(X1)
     return SplitTangent(vertical=-spectral_derivative(X1) / lift.speed, horizontal=X1)
 
 
@@ -117,7 +117,7 @@ def xi_eval(W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
     all four are horizontal.
     """
     args = [W1, W2, W3, W4]
-    vals = 0.0  # stays real unless some argument is complex
+    vals = 0.0  # takes the fields' dtype: real on the program's split fields
     for a in range(4):
         b, c, d = (args[k].horizontal for k in range(4) if k != a)
         vals = vals - (-1) ** a * rho_star_field(standard_g2(), args[a].vertical, b, c, d)
@@ -133,7 +133,7 @@ def xi_tilde(lift: LKnotLift, X1, X2, X3, X4) -> float:
     lift_tangent the integral is generically of order one; see the twistor
     tests for the measured gap.
     """
-    ws = [covariant_split(lift, np.asarray(X, dtype=float)) for X in (X1, X2, X3, X4)]
+    ws = [covariant_split(lift, X) for X in (X1, X2, X3, X4)]
     vals = xi_eval(*ws)
     return float(integrate(lift.base, vals))
 

@@ -14,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from . import knots, twistor
-from .algebra import (cross_field, cross_matrix, is_associative, omega3_slot,
-                      standard_g2, two_form_decompose)
+from .algebra import (cross_field, is_associative, omega3_slot, standard_g2,
+                      two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
 from .instanton import (INSTANTON_TOL, LIFTED_TOL, is_g2_instanton,
@@ -276,25 +276,20 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
     return report
 
 
-def _type_10_field(loop: Loop7, X: np.ndarray) -> np.ndarray:
-    """(1,0)-part (X - i I X) / 2 of a real normal field."""
-    return 0.5 * (X - 1j * knots.acs_apply(loop, X))
-
-
 def _nondegeneracy_table(lift: twistor.LKnotLift,
                          X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The complex 3-form on the (1,0)-part A of X and the (1,0)-parts F_j of
-    the seven projected constant basis fields: table[j, k] = Omega(A, F_j, F_k),
-    with the scale max|A| max|F_j| max|F_k| (each F factor floored at 1e-12)."""
+    """The complex 3-form on the real normal field X and the seven projected
+    constant basis fields P e_j, P = 1 - T T^t: table[j, k] = Omega(X, P e_j,
+    P e_k), with the scale max|X| max|P e_j| max|P e_k| (each P e_j factor
+    floored at 1e-12). Omega has type (3,0), so it reads each real normal
+    field as its (1,0) part: this is the table of the (1,0) parts too."""
     base, T = lift.base, lift.sphere_curve
-    A = _type_10_field(base, X)
-    # F[n, j] = F_j(t_n), so F[n] @ slot[n] @ F[n].T holds all pairs at t_n.
-    # Row j of P = 1 - T T^t is the projected e_j, and I P e_j = T ⋆ e_j.
-    F = 0.5 * (np.eye(7) - T[:, :, None] * T[:, None, :] - 1j * cross_matrix(standard_g2(), T))
-    slot = omega3_slot(standard_g2(), T, A)
-    table = integrate(base, F @ slot @ F.transpose(0, 2, 1))
-    norms = np.maximum(np.abs(F).max(axis=(0, 2)), 1e-12)
-    return table, np.abs(A).max() * norms[:, None] * norms[None, :]
+    # row j of the symmetric P[n] is P e_j at t_n, so P[n] @ slot[n] @ P[n]
+    # holds all pairs at t_n
+    P = np.eye(7) - T[:, :, None] * T[:, None, :]
+    table = integrate(base, P @ omega3_slot(standard_g2(), T, X) @ P)
+    norms = np.maximum(np.abs(P).max(axis=(0, 2)), 1e-12)
+    return table, np.abs(X).max() * norms[:, None] * norms[None, :]
 
 
 def suite_twistor(config: VerifyConfig) -> SuiteReport:

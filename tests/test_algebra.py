@@ -7,7 +7,7 @@ import pytest
 
 from g2knot import algebra, knots, twistor
 from g2knot.algebra import (G2Structure, Octonion, cross,
-                            cross_field, cross_matrix, complex_structure_apply,
+                            cross_field, complex_structure_apply,
                             hermitian_trace_vector, is_associative,
                             lie_action_on_rho, metric_from_three_form,
                             octonion_mul, omega3_integrand, omega3_slot, rho_field,
@@ -289,7 +289,7 @@ class TestKernelReference:
     def test_real_pairs_are_the_broadcast_product(self):
         # the einsum outer product repeats the broadcast product bit for bit on
         # real operands, also where one operand broadcasts over a stack, and on
-        # a real v against a complex field, as in omega3_slot
+        # a real v against a complex field, as in omega3_slot on a complex A
         rng = np.random.default_rng(11)
         pairs = [(rng.standard_normal(sa), rng.standard_normal(sb))
                  for sa, sb in [((7,), (7,)), ((self.N, 7), (self.N, 7)),
@@ -307,17 +307,6 @@ class TestKernelReference:
             X, Y = draw(*shape), draw(*shape)
             assert_rel(cross_field(g2, X, Y),
                        np.einsum("ijk,...i,...j->...k", g2.cross_tensor, X, Y))
-
-    def test_cross_matrix_rows_are_cross_field(self, g2):
-        # row j is X ⋆ e_j: the same products as cross_field against each
-        # basis vector, and as its broadcast over all seven, bit for bit
-        X = np.random.default_rng(12).standard_normal((512, 7))
-        rows = cross_matrix(g2, X)
-        assert rows.shape == (512, 7, 7)
-        for j, e in enumerate(np.eye(7)):
-            assert rows[:, j].tobytes() == cross_field(g2, X, e).tobytes()
-        assert rows.tobytes() == cross_field(g2, X[:, None, :], np.eye(7)).tobytes()
-        assert cross_matrix(g2, X[0]).tobytes() == rows[0].tobytes()
 
     def test_rho_star_covector(self, g2, draw):
         # the reference contracts the dense tensor directly, not through

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2knot import algebra, knots, twistor
+from g2knot import algebra, knots, twistor, verify
 from g2knot.algebra import (hermitian_trace_vector, is_associative, standard_g2,
                             two_form_decompose)
 from g2knot.forms import AltForm
@@ -110,6 +110,13 @@ def cartan_check(c, M):
     return twistor.cartan_check(lift, U, V, W, U)
 
 
+def nondegeneracy_table(c, M):
+    # rows and columns are indexed by the basis vectors e_j, which stay fixed:
+    # rotating the inputs by M turns the table into M table M^t
+    lift, U, _, _ = on_lift(c, M)
+    return M.T @ verify._nondegeneracy_table(lift, U)[0] @ M
+
+
 def trace_vector(c, M):
     rotated = M @ c.two_form @ M.T
     return hermitian_trace_vector(c.g2, AltForm(2, rotated[np.triu_indices(7, 1)]))
@@ -127,6 +134,7 @@ READS_G2 = [
     (omega3_eval, False),
     (rho_star_covector, True),
     (cartan_check, False),
+    (nondegeneracy_table, False),
     (trace_vector, True),
     (calibration, False),
 ]

@@ -251,3 +251,20 @@ class TestCartanPairing:
         ref = omega3_eval(lift, type_10(x), type_10(y), bracket)
         cc = cartan_check(lift, x, y, z, t)
         assert abs(cc - ref) <= 1e-5 * abs(ref)
+
+
+class TestRealOnly:
+    """The twistor entry points that take real normal fields refuse complex
+    ones instead of dropping their imaginary parts; omega3_eval stays
+    complex-linear, since the Cartan reference above needs it."""
+
+    @pytest.mark.parametrize("op", [
+        lambda lift, X: lift_tangent(lift, X),
+        lambda lift, X: lift_tangent_fd(lift, X),
+        lambda lift, X: covariant_split(lift, X),
+        lambda lift, X: xi_tilde(lift, X, X.real, X.real, X.real),
+    ], ids=["lift_tangent", "lift_tangent_fd", "covariant_split", "xi_tilde"])
+    def test_complex_field_is_refused(self, fixture, op):
+        _, lift, fields = fixture
+        with pytest.raises(ValueError, match="complex"):
+            op(lift, fields[0] + 1j * fields[1])

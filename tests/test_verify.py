@@ -11,17 +11,16 @@ import sys
 import numpy as np
 import pytest
 
-from g2knot import twistor, verify
+from g2knot import knots, twistor, verify
 from g2knot.algebra import G2Structure, cross_field, is_associative, standard_g2
 from g2knot.errors import ConfigError, ImmersionViolation
 from g2knot.forms import AltForm
 from g2knot.instanton import LIFTED_TOL, is_g2_instanton, lifted_curvature_type_residual
 from g2knot.loops import Loop7, normal_project
 from g2knot.verify import (SuiteReport, VerifyConfig, _family_calibrations,
-                           _nondegeneracy_table, _type_10_field, random_loop,
-                           random_normal_field, reports_to_json, run_suites,
-                           suite_associative, suite_instanton, suite_kahler,
-                           suite_twistor)
+                           _nondegeneracy_table, random_loop, random_normal_field,
+                           reports_to_json, run_suites, suite_associative,
+                           suite_instanton, suite_kahler, suite_twistor)
 from test_algebra import ref_is_associative
 
 SMALL = dict(loops=3, fields=2, n=256, instanton_samples=9)
@@ -129,21 +128,44 @@ class TestDeterminism:
 
 
 class TestNondegeneracyProbe:
-    def test_table_matches_per_pair_evaluation(self):
+    @pytest.fixture(scope="class")
+    def probe(self):
         rng = np.random.default_rng(31)
         lift = twistor.lknot_lift(random_loop(rng, 256, 5))
         X = random_normal_field(rng, lift.base, 5)
-        table, denom = _nondegeneracy_table(lift, X)
-        A = _type_10_field(lift.base, X)
-        F = [_type_10_field(lift.base, normal_project(lift.base, np.tile(e, (256, 1))))
-             for e in np.eye(7)]
+        Pe = [normal_project(lift.base, np.tile(e, (256, 1))) for e in np.eye(7)]
+        return lift, X, Pe, _nondegeneracy_table(lift, X)
+
+    @staticmethod
+    def assert_upper_close(table, ref):
+        upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
+        assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_table_matches_per_pair_evaluation(self, probe):
+        lift, X, Pe, (table, denom) = probe
+        ref = np.zeros((7, 7), dtype=complex)
+        for j in range(7):
+            for k in range(j + 1, 7):
+                ref[j, k] = twistor.omega3_eval(lift, X, Pe[j], Pe[k])
+                assert denom[j, k] == np.abs(X).max() * np.abs(Pe[j]).max() * np.abs(Pe[k]).max()
+        self.assert_upper_close(table, ref)
+
+    def test_table_equals_type_10_route(self, probe):
+        # the former route: Omega on the (1,0) parts A = (X - i IX)/2 and
+        # F_j = (P e_j - i T ⋆ e_j)/2, which the (3,0) type makes equal to
+        # Omega on the real fields
+        lift, X, Pe, (table, _) = probe
+        base = lift.base
+
+        def type_10(F):
+            return 0.5 * (F - 1j * knots.acs_apply(base, F))
+        A, F = type_10(X), [type_10(P) for P in Pe]
+        assert np.abs(F[0].imag).max() > 0.1  # the route is genuinely complex
         ref = np.zeros((7, 7), dtype=complex)
         for j in range(7):
             for k in range(j + 1, 7):
                 ref[j, k] = twistor.omega3_eval(lift, A, F[j], F[k])
-                assert denom[j, k] == np.abs(A).max() * np.abs(F[j]).max() * np.abs(F[k]).max()
-        upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
-        assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()
+        self.assert_upper_close(table, ref)
 
 
 class TestKahlerSuite:

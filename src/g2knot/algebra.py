@@ -137,9 +137,14 @@ def cross_field(g2: G2Structure, X, Y) -> np.ndarray:
     return _pairs(X, Y) @ g2.cross_tensor.reshape(DIM * DIM, DIM)
 
 
+def rho_covector(g2: G2Structure, A, B) -> np.ndarray:
+    """Pointwise covector rho(A, B, .) on (7,) or (N,7) argument arrays."""
+    return _pairs(A, B) @ g2.rho_tensor.reshape(DIM * DIM, DIM)
+
+
 def rho_field(g2: G2Structure, A, B, C) -> np.ndarray:
     """Pointwise rho(A, B, C) on (7,) or (N,7) argument arrays."""
-    return np.sum((_pairs(A, B) @ g2.rho_tensor.reshape(DIM * DIM, DIM)) * np.asarray(C), axis=-1)
+    return np.sum(rho_covector(g2, A, B) * np.asarray(C), axis=-1)
 
 
 def rho_star_covector(g2: G2Structure, B, C, D) -> np.ndarray:

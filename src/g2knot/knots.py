@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cross_field, rho_field, standard_g2
+from .algebra import cross_field, rho_covector, rho_field, standard_g2
 from .errors import StepOutOfRange
 from .loops import Loop7, integrate, normal_project, spectral_derivative
 
@@ -164,7 +164,8 @@ def d_omega_fd(chart: KnotChart, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     _check_step(h)
 
     def deriv(direction, A, B):
-        return _centered(lambda u: omega(chart.loop_at(u), A, B),
+        q = rho_covector(standard_g2(), A, B)  # fixed in u: contracted once per direction
+        return _centered(lambda u: integrate(chart.base, np.sum(q * chart.loop_at(u).velocity, -1)),
                          _real(direction), h)
 
     return deriv(X, Y, Z) - deriv(Y, X, Z) + deriv(Z, X, Y)

@@ -51,18 +51,20 @@ def spectral_tail(values: np.ndarray, with_mean: bool = False) -> float:
     return float(power[n // 2 - n // 16 + 1:].sum() / total) if total > 0 else 0.0
 
 
-# Block sizing for _trig_eval: at most _ROW_BLOCK evaluation points per block,
-# fewer when a point's angle and cos/sin tables (S + Q - 1 entries each) and
-# two matmul products ((2 Q - 1) C each) would take a block past
-# _BLOCK_FLOATS floats (1 MB), however many points are asked for. A suite
-# evaluation at N = 512 (Q = 1) is one block; the 9-column arclength step
-# with the fused resample at N = 2048 (Q = 33) runs 96 points a block. Both
-# caps measured faster than either alone: wider blocks fall out of cache.
-_ROW_BLOCK = 512
-_BLOCK_FLOATS = 2 ** 17
-# Baby-step width S: mode k = q S + r (0 <= r < S) is split by angle addition
-# into a table in r t of width S and one in q S t for 1 <= q < Q = ceil(M / S).
-_BABY_STEP = 32
+# Up to _DIRECT_MODES modes (every ensemble draw) _trig_eval takes the direct
+# products that the tests pin bit for bit. Past it the Taylor series was
+# faster from N = 256 on; at N = 64 and 128 its 13 to 18 FFTs cost more.
+_DIRECT_MODES = 32
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - fl(2 pi)
+
+
+@lru_cache(maxsize=None)
+def _smooth_size(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: an inverse FFT of 2049 points took about
+    six times as long as one of 2160."""
+    top = range(n.bit_length() + 1)
+    return min(s for s in (2 ** i * 3 ** j * 5 ** k for i in top for j in top for k in top)
+               if s >= n)
 
 
 def _cos_sin_coeffs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,52 +98,56 @@ def _grid_table(n: int, m: int) -> np.ndarray:
 
 def _trig_eval(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """sum_k a[k, c] cos(k t) + b[k, c] sin(k t) at each t for every column c
-    of the (M, C) coefficients; an int t = n means the uniform grid
-    2 pi j / n, j < n, whose cos/sin block comes from _grid_table when Q = 1.
+    of the (M, C) coefficients; an int t = n means the grid 2 pi j / n, j < n.
+    Every t must be finite and within +-2^30: up to there the reduction
+    below errs by at most ulp(t) / 8, far beyond by a whole node spacing.
 
-    With k = q S + r (S = min(M, 32), 0 <= r < S, 0 <= q < Q = ceil(M / S)),
-    angle addition turns the sum over k into even_0 + sum over q >= 1 of
-    cos(q S t) even_q + sin(q S t) odd_q, where even_q = sum_r a cos(r t) +
-    b sin(r t) and odd_q = sum_r b cos(r t) - a sin(r t), with a, b
-    zero-padded to Q S modes. Per block of rows one cos/sin table holds the S
-    baby and Q - 1 giant steps, two matmuls give every even_q and odd_q, and
-    one contraction over q finishes: 2 (S + Q - 1) transcendentals per point,
-    not 2 M. For M <= 32, Q = 1 and this is exactly cos(k t) @ a + sin(k t) @ b."""
-    m, c = a.shape
-    s = min(m, _BABY_STEP)
-    q = -(-m // s)
-    table = None
-    if isinstance(t, (int, np.integer)):
-        if q == 1:
-            table = _grid_table(int(t), m)
-        t = TWO_PI * np.arange(t) / t
-    t = np.ravel(np.asarray(t, dtype=float))
-    # split[0] multiplies cos(r t) and split[1] sin(r t). Row (q, c) of each
-    # gives even_q of column c for q < Q, then odd_q for 1 <= q < Q: the q = 0
-    # giant step is the identity, so odd_0 would only be multiplied by 0.
-    split = np.zeros((2, (2 * q - 1) * s, c))
-    odd = slice(q * s, q * s + m - s)
-    split[0, :m], split[0, odd], split[1, :m], split[1, odd] = a, b[s:], b, -a[s:]
-    split = split.reshape(2, 2 * q - 1, s, c).transpose(0, 1, 3, 2).reshape(2, -1, s)
-    modes = np.concatenate((np.arange(s), np.arange(s, q * s, s)))
-    block = max(1, min(_ROW_BLOCK, _BLOCK_FLOATS // (3 * modes.size + 2 * (2 * q - 1) * c)))
-    out = np.empty((t.size, c))
-    for start in range(0, t.size, block):
-        rows = t[start:start + block]
-        if table is not None:
-            trig = table[:, start:start + block]
-        else:
-            angles = np.outer(rows, modes)
-            trig = np.empty((2,) + angles.shape)
-            np.cos(angles, out=trig[0])
-            np.sin(angles, out=trig[1])
-        parts = split[0] @ trig[0, :, :s].T
-        parts += split[1] @ trig[1, :, :s].T
-        steps = parts[c:].reshape(2, q - 1, c, rows.size)
-        total = np.einsum("iqcn,inq->cn", steps, trig[:, :, s:])
-        total += parts[:c]
-        out[start:start + block] = total.T
-    return out
+    Up to 32 modes this is cos(k t) @ a + sin(k t) @ b. Past 32 modes it is
+    the Taylor series sum_{p <= P} f^(p)(t_j) delta^p / p! about the nearest
+    node t_j of a 5-smooth grid of g >= 2 M - 1 points, one inverse FFT per
+    derivative, with the least P whose Lagrange remainder sum_k (|a_k| +
+    |b_k|) (k max|delta|)^(P+1) / (P+1)! is at most 2^-53 sum_k (|a_k| + |b_k|)
+    in every column."""
+    m = a.shape[0]
+    grid = isinstance(t, (int, np.integer))
+    if grid and m <= _DIRECT_MODES:
+        cos, sin = _grid_table(int(t), m)
+        return cos @ a + sin @ b
+    t = TWO_PI * np.arange(t) / t if grid else np.ravel(np.asarray(t, dtype=float))
+    if not np.all(np.abs(t) <= 2.0 ** 30):  # also false for nan
+        raise ValueError("t must be finite and within +-2**30")
+    if m <= _DIRECT_MODES:
+        angles = np.outer(t, np.arange(m))
+        return np.cos(angles) @ a + np.sin(angles) @ b
+
+    g = _smooth_size(2 * m - 1)  # mode M - 1 stays below the Nyquist mode
+    # Cody-Waite: j * head, head * g and t - j * head are exact, and j * tail
+    # rounds by at most 2^(bits - 53) ulp(t)
+    j = np.rint(t * (g / TWO_PI))
+    bits = int(max(g, np.abs(j).max(initial=0.0))).bit_length() + 1
+    mant, exp = np.frexp(TWO_PI / g)
+    head = np.ldexp(np.floor(np.ldexp(mant, 53 - bits)), int(exp) - 53 + bits)
+    delta = (t - j * head) - j * ((TWO_PI - head * g + _TWO_PI_LO) / g)
+    reach = np.abs(delta).max(initial=0.0)
+    weight = np.abs(a) + np.abs(b)
+    x = np.arange(m) * reach
+    remainder, order = x.copy(), 0  # (k reach)^(P+1) / (P+1)! at P = order
+    while np.any(remainder @ weight > 2.0 ** -53 * weight.sum(axis=0)):
+        order += 1
+        remainder *= x / (order + 1)
+
+    # row c is the spectrum of column c's f^(p) reach^p / p!, so each term
+    # takes a power of delta / reach, in [-1, 1]
+    nodes = np.mod(j, g).astype(np.intp)
+    spec = (0.5 * g) * (a - 1j * b).T
+    spec[:, 0] = g * a[0]
+    out = np.fft.irfft(spec, g)[:, nodes]
+    power = np.ones_like(delta)
+    for p in range(1, order + 1):
+        spec *= 1j * x / p
+        power *= delta / reach
+        out += np.fft.irfft(spec, g)[:, nodes] * power
+    return np.ascontiguousarray(out.T)
 
 
 def trig_interpolate(values: np.ndarray, t_new: np.ndarray) -> np.ndarray:
@@ -241,7 +247,8 @@ def _arclength_solve(loop: Loop7, values: np.ndarray | None = None):
     arclength; the t returned is the one whose residual passed, with the
     samples evaluated there. On `loop gen` loops the septic warm start
     passes at the first evaluation from N = 512 on (at N = 512 almost
-    always); at N = 64 to 256 one or two Newton steps follow."""
+    always); at N = 64 to 256 one or two Newton steps follow. Each
+    evaluation is one _trig_eval Taylor series: 9 inverse FFTs at N = 2048."""
     n = loop.n
     a, b = _cos_sin_coeffs(loop.speeds)
     # Column 0 is the speed, column 1 the periodic part of its antiderivative;

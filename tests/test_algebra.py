@@ -10,8 +10,8 @@ from g2knot.algebra import (G2Structure, Octonion, cross,
                             cross_field, complex_structure_apply,
                             hermitian_trace_vector, is_associative,
                             lie_action_on_rho, metric_from_three_form,
-                            octonion_mul, omega3_integrand, omega3_slot, rho_field,
-                            rho_star_covector,
+                            octonion_mul, omega3_integrand, omega3_slot, rho_covector,
+                            rho_field, rho_star_covector,
                             standard_g2,
                             standard_phi, two_form_decompose,
                             two_form_operator_matrix)
@@ -307,6 +307,13 @@ class TestKernelReference:
             X, Y = draw(*shape), draw(*shape)
             assert_rel(cross_field(g2, X, Y),
                        np.einsum("ijk,...i,...j->...k", g2.cross_tensor, X, Y))
+
+    def test_rho_covector(self, g2, draw):
+        # rho_field is built on the covector; the reference contracts the
+        # dense tensor directly
+        for shape in [(7,), (self.N, 7)]:
+            A, B = draw(*shape), draw(*shape)
+            assert_rel(rho_covector(g2, A, B), np.einsum("ijk,...i,...j->...k", g2.rho_tensor, A, B))
 
     def test_rho_star_covector(self, g2, draw):
         # the reference contracts the dense tensor directly, not through

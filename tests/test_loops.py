@@ -76,12 +76,14 @@ def dense_arclength_params(loop):
 
 
 class TestTrigEvaluator:
-    """The angle-addition (baby-step/giant-step) cos/sin evaluator against
-    dense exponentials."""
+    """The trigonometric interpolant against dense exponentials: direct cos/sin
+    products up to 32 modes, past them the spectral Taylor series about the
+    nearest node of a 5-smooth grid."""
 
     @pytest.mark.parametrize("n", [16, 17, 256, 257])
     def test_matches_dense_reference(self, rng, n):
-        # N = 16, 17: M = N//2 + 1 <= 32, one giant step; N = 256, 257: Q = 5
+        # N = 16, 17: M = N//2 + 1 <= 32, the direct products; N = 256, 257:
+        # M = 129, the Taylor series on a grid of 270 points
         values = rng.standard_normal((n, 7))  # white noise: every mode present
         t = np.concatenate([2 * np.pi * np.arange(n) / n,
                             rng.uniform(-np.pi, 3 * np.pi, 300)])
@@ -94,12 +96,11 @@ class TestTrigEvaluator:
                         reason="np.longdouble is float64: a double reference rounds k t by"
                                " up to 4.5e-13 and differs by up to 1.1e-12")
     def test_padded_last_giant_step(self, rng):
-        # N = 2048: M = 1025 = 32 * 32 + 1 modes, so the 33rd giant step holds
-        # mode 1024 and 31 zero-padded ones. The points stay in one period:
-        # the float64 products k t of any evaluator round by up to 4.5e-13
-        # per 2 pi of t at k = 1024. The grid values differ from the samples
-        # by about 1.3e-12 through the FFT alone, so only the dense reference
-        # is checked there.
+        # N = 2048: M = 1025 modes, up to the Nyquist mode 1024, on a Taylor
+        # grid of 2160 points. The offsets from the nodes are reduced in two
+        # parts, so they carry no rounding beyond that of t itself.
+        # The grid values differ from the samples by about 1.3e-12 through
+        # the FFT alone, so only the dense reference is checked there.
         n = 2048
         values = rng.standard_normal((n, 7))
         t = np.concatenate([2 * np.pi * np.arange(n) / n, rng.uniform(0, 2 * np.pi, 300)])
@@ -116,8 +117,8 @@ class TestTrigEvaluator:
         assert np.abs(out - dense_interpolant(np.cos(n * grid / 2), t)).max() < 1e-12
 
     def test_fourier_spec_bit_identical_to_dense_tables(self, rng):
-        # A max-mode-5 spec is one giant step: evaluate and derivative are
-        # exactly the two products cos(k t) @ a + sin(k t) @ b.
+        # A max-mode-5 spec takes the direct route: evaluate and derivative
+        # are exactly the two products cos(k t) @ a + sin(k t) @ b.
         spec = random_spec(rng, n=512, k_max=5)
         t = np.concatenate([2 * np.pi * np.arange(512) / 512, rng.uniform(-np.pi, 3 * np.pi, 300)])
         k = np.arange(6)
@@ -136,10 +137,42 @@ class TestTrigEvaluator:
                                       for m in (1, 6, 32, 33) if n > 2 * (m - 1)])
     def test_sample_is_evaluate_on_the_grid(self, n, m):
         # up to 32 modes the cos/sin block comes from the cached grid table;
-        # 33 modes take two giant steps and build it from the points
+        # 33 modes take the Taylor series from the points
         rng = np.random.default_rng(n + m)
         spec = FourierLoopSpec(rng.standard_normal((m, 7)), rng.standard_normal((m, 7)), n)
         assert spec.sample().tobytes() == spec.evaluate(2 * np.pi * np.arange(n) / n).tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is float64: a double reference rounds k t by"
+                               " up to 1.5e-11 at |t| = 40 pi")
+    @pytest.mark.parametrize("n, bound", [(256, 1e-12), (2048, 1e-11)])
+    def test_points_over_many_periods(self, rng, n, bound):
+        # Each t is reduced to an offset from its node with no rounding beyond
+        # its own, so twenty periods out cost no accuracy.
+        values = rng.standard_normal((n, 7))
+        t = rng.uniform(-40 * np.pi, 40 * np.pi, 300)
+        assert np.abs(trig_interpolate(values, t) - dense_interpolant(values, t)).max() < bound
+
+    def test_reparam_fft_count(self, monkeypatch):
+        # The warm start, the Taylor series of the one evaluation and the
+        # resampled loop's derivative, at N = 2048 on a `loop gen` loop.
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append(1) or irfft(*args, **kw))
+        unit_speed_reparam(random_loop(np.random.default_rng(2048), 2048, 5))
+        assert 0 < len(calls) <= 16
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2.0 ** 31])
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_points_out_of_range_are_refused(self, rng, bad, m):
+        # one bad point would spoil the Taylor order of every row
+        spec = FourierLoopSpec(rng.standard_normal((m, 7)), rng.standard_normal((m, 7)), 128)
+        t = np.linspace(0.0, 1.0, 5)
+        t[2] = bad
+        for evaluate in (spec.evaluate, spec.derivative,
+                         lambda t: trig_interpolate(spec.sample(), t)):
+            with pytest.raises(ValueError, match="t must be finite"):
+                evaluate(t)
 
     def test_grid_table_is_read_only(self):
         table = loops._grid_table(64, 6)
@@ -168,8 +201,9 @@ class TestTrigEvaluator:
 
     def test_reparam_memory_is_bounded(self):
         # Dense N x N exponentials at N = 2048 peak above 130 MB, full-width
-        # 256 x 1025 cos/sin tables near 4.4 MB; blocks of 64-wide tables and
-        # their products, capped at 1 MB, keep the traced peak near 2.3 MB.
+        # 256 x 1025 cos/sin tables near 4.4 MB; the Taylor series holds one
+        # spectrum and one grid of derivative values at a time, and the
+        # traced peak stays near 1.4 MB.
         loop = random_loop(np.random.default_rng(2048), 2048, 5)
         tracemalloc.start()
         try:

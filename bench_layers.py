@@ -15,7 +15,7 @@ grouped by the layers of the ROADMAP's first aim:
     L2  knot-space operators: omega, G, I, d omega (exact and by finite
         differences), the Nijenhuis tensor (FD and closed form)
     L3  twistor operators: the lift, the complex 3-form, xi~, d Omega vs xi,
-        the Cartan pairing
+        the Cartan pairing, the nondegeneracy probe
     L4  each suite at its default configuration (seed 7)
     L5  `g2knot verify all --seed 7`, and the Tier-1 pytest run as a child
         process
@@ -111,6 +111,7 @@ def build_cases() -> list[tuple[str, object]]:
         ("L3.xi_tilde", lambda: twistor.xi_tilde(lift, X, Y, Z, T)),
         ("L3.d_omega3_vs_xi", lambda: twistor.d_omega3_vs_xi(lift, *splits, h=1e-4)),
         ("L3.cartan_check", lambda: twistor.cartan_check(lift, X, Y, Z, T)),
+        ("L3.nondegeneracy_table", lambda: verify._nondegeneracy_table(lift, X)),
         ("L4.suite_kahler", lambda: verify.suite_kahler(config)),
         ("L4.suite_twistor", lambda: verify.suite_twistor(config)),
         ("L4.suite_associative", lambda: verify.suite_associative(config)),

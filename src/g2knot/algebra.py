@@ -192,16 +192,6 @@ def complex_structure_apply(g2: G2Structure, v, x) -> np.ndarray:
     return cross(g2, v, x - g2.inner(x, v) * v)
 
 
-def omega3_slot(g2: G2Structure, v: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The pointwise matrix Omega_v(A, ., .) = rho(A, ., .) - i rho*(v, A, ., .),
-    of shape (..., 7, 7) for (..., 7) arrays v and A: every pair of the
-    other two slots at once, for the twistor suite's nondegeneracy probe."""
-    A = np.asarray(A)
-    slot = (A @ g2.rho_tensor.reshape(DIM, DIM * DIM)
-            - 1j * (_pairs(v, A) @ g2.rho_star_tensor.reshape(DIM * DIM, DIM * DIM)))
-    return slot.reshape(A.shape[:-1] + (DIM, DIM))
-
-
 def omega3_integrand(g2: G2Structure, v: np.ndarray, A: np.ndarray,
                      B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Pointwise values rho(A,B,C) - i rho*(v,A,B,C) on (7,) or (N,7) argument

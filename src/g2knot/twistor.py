@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import omega3_integrand, rho_star_covector, rho_star_field, standard_g2
+from .algebra import omega3_integrand, rho_star_covector, standard_g2
 from .knots import KnotChart, _centered, _check_step, _real, nijenhuis_exact
 from .loops import (Loop7, integrate, normal_project, spectral_derivative,
                     unit_speed_reparam)
@@ -94,16 +94,32 @@ def covariant_split(lift: LKnotLift, X1: np.ndarray) -> SplitTangent:
 
 def omega3_eval(lift: LKnotLift, A: np.ndarray, B: np.ndarray,
                 C: np.ndarray) -> complex:
-    """The complex 3-form on the lifted knot space, on the horizontal parts
-    A, B, C ((N, 7) fields) of three lifted tangents; vertical parts do not
-    contribute, so none is taken.
+    """The complex 3-form on the horizontal parts A, B, C ((N, 7) fields) of
+    three lifted tangents; vertical parts do not contribute, so none is
+    taken. A complex field is refused.
 
     Evaluates ∫ [rho(A,B,C) - i rho*(v,A,B,C)] dt.  The sign of the
     imaginary part is fixed so the form has type (3,0): replacing A by
     J_v A multiplies the value by i.
     """
-    vals = omega3_integrand(standard_g2(), lift.sphere_curve, A, B, C)
+    vals = omega3_integrand(standard_g2(), lift.sphere_curve, _real(A), _real(B), _real(C))
     return complex(integrate(lift.base, vals))
+
+
+def _psi_covectors(args: list[SplitTangent]) -> list[np.ndarray]:
+    """rho*(., B, C, D) for each argument, on the horizontal parts of the
+    other three in order."""
+    return [rho_star_covector(standard_g2(), *(W.horizontal for W in args[:a] + args[a + 1:]))
+            for a in range(4)]
+
+
+def _pairing(verticals, covectors) -> np.ndarray:
+    """The alternating sum -sum_a (-1)^a V_a . q_a of each vertical against
+    its covector from _psi_covectors, pointwise."""
+    vals = 0.0  # takes the fields' dtype: real on the program's split fields
+    for a, (V, q) in enumerate(zip(verticals, covectors)):
+        vals = vals - (-1) ** a * np.sum(V * q, axis=-1)
+    return vals
 
 
 def xi_eval(W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
@@ -117,11 +133,7 @@ def xi_eval(W1: SplitTangent, W2: SplitTangent, W3: SplitTangent,
     all four are horizontal.
     """
     args = [W1, W2, W3, W4]
-    vals = 0.0  # takes the fields' dtype: real on the program's split fields
-    for a in range(4):
-        b, c, d = (args[k].horizontal for k in range(4) if k != a)
-        vals = vals - (-1) ** a * rho_star_field(standard_g2(), args[a].vertical, b, c, d)
-    return vals
+    return _pairing([W.vertical for W in args], _psi_covectors(args))
 
 
 def xi_tilde(lift: LKnotLift, X1, X2, X3, X4) -> float:
@@ -168,13 +180,14 @@ def d_omega3_vs_xi(lift: LKnotLift, W1: SplitTangent, W2: SplitTangent,
         # only -i rho*(v, A, B, C) = -i v . q moves with the fiber point: the
         # centered difference of the rho(A, B, C) part is exactly 0, so it is
         # not taken, and q = rho*(., A, B, C) is contracted once per direction
+        # and shared with the right-hand side
         v = base_v + dv
         v = v / np.linalg.norm(v, axis=1)[:, None]
         return -1j * integrate(lift.base, np.sum(v * q, axis=1))
 
+    qs = _psi_covectors(args)
     lhs = 0.0 + 0.0j
-    for a in range(4):
-        q = rho_star_covector(standard_g2(), *(W.horizontal for W in args[:a] + args[a + 1:]))
+    for a, q in enumerate(qs):
         lhs += (-1) ** a * _centered(lambda dv: omega_at(dv, q), args[a].vertical, h)
-    rhs = 1j * integrate(lift.base, xi_eval(*args))
+    rhs = 1j * integrate(lift.base, _pairing([W.vertical for W in args], qs))
     return lhs, complex(rhs)

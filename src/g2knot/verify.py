@@ -14,14 +14,14 @@ from functools import partial
 import numpy as np
 
 from . import knots, twistor
-from .algebra import (cross_field, is_associative, omega3_slot, standard_g2,
+from .algebra import (cross_field, is_associative, rho_covector, standard_g2,
                       two_form_decompose)
 from .errors import ConfigError, ImmersionViolation, ZeroCurvature
 from .forms import AltForm, contract
 from .instanton import (INSTANTON_TOL, LIFTED_TOL, is_g2_instanton,
                         lifted_curvature_type_residual)
 from .knots import H_MIN, H_MAX, KnotChart
-from .loops import (FourierLoopSpec, Loop7, MIN_SAMPLES, integrate,
+from .loops import (FourierLoopSpec, Loop7, MIN_SAMPLES, TWO_PI,
                     loop_from_fourier, normal_project)
 
 DEFAULT_TOLERANCES = {
@@ -283,12 +283,18 @@ def _nondegeneracy_table(lift: twistor.LKnotLift,
     P e_k), with the scale max|X| max|P e_j| max|P e_k| (each P e_j factor
     floored at 1e-12). Omega has type (3,0), so it reads each real normal
     field as its (1,0) part: this is the table of the (1,0) parts too."""
-    base, T = lift.base, lift.sphere_curve
-    # row j of the symmetric P[n] is P e_j at t_n, so P[n] @ slot[n] @ P[n]
-    # holds all pairs at t_n
-    P = np.eye(7) - T[:, :, None] * T[:, None, :]
-    table = integrate(base, P @ omega3_slot(standard_g2(), T, X) @ P)
-    norms = np.maximum(np.abs(P).max(axis=(0, 2)), 1e-12)
+    g2, base, T = standard_g2(), lift.base, lift.sphere_curve
+    # with S = Omega_T(X, ., .) at t_n: S is antisymmetric and psi vanishes
+    # on T twice, so T^t S = w = rho(X, T, .), S T = -w and P S P =
+    # S - T w^t + w T^t. Integrated, S gives (sum X) . rho - i (T^t X) . psi,
+    # two real contractions, and the rank-two terms T^t W - W^t T
+    TW = T.T @ rho_covector(g2, X, T)
+    S = (X.sum(axis=0) @ g2.rho_tensor.reshape(7, 49)
+         - 1j * ((T.T @ X).reshape(49) @ g2.rho_star_tensor.reshape(49, 49)))
+    table = (S.reshape(7, 7) - (TW - TW.T)) * (TWO_PI / base.n)
+    # row j of the symmetric P[n] is P e_j at t_n
+    P = np.eye(7) - np.einsum("nj,nk->njk", T, T)
+    norms = np.maximum(np.abs(P).max(axis=0).max(axis=1), 1e-12)
     return table, np.abs(X).max() * norms[:, None] * norms[None, :]
 
 

@@ -10,7 +10,7 @@ from g2knot.algebra import (G2Structure, Octonion, cross,
                             cross_field, complex_structure_apply,
                             hermitian_trace_vector, is_associative,
                             lie_action_on_rho, metric_from_three_form,
-                            octonion_mul, omega3_integrand, omega3_slot, rho_covector,
+                            octonion_mul, omega3_integrand, rho_covector,
                             rho_field, rho_star_covector,
                             standard_g2,
                             standard_phi, two_form_decompose,
@@ -289,7 +289,7 @@ class TestKernelReference:
     def test_real_pairs_are_the_broadcast_product(self):
         # the einsum outer product repeats the broadcast product bit for bit on
         # real operands, also where one operand broadcasts over a stack, and on
-        # a real v against a complex field, as in omega3_slot on a complex A
+        # a real v against a complex field
         rng = np.random.default_rng(11)
         pairs = [(rng.standard_normal(sa), rng.standard_normal(sb))
                  for sa, sb in [((7,), (7,)), ((self.N, 7), (self.N, 7)),
@@ -329,17 +329,6 @@ class TestKernelReference:
         re = np.einsum("ijk,ni,nj,nk->n", g2.rho_tensor, A, B, C)
         im = -np.einsum("ijkl,ni,nj,nk,nl->n", g2.rho_star_tensor, v, A, B, C)
         assert_rel(omega3_integrand(g2, v, A, B, C), re + 1j * im)
-
-    def test_omega3_integrand_matches_slot_route(self, g2, draw, loop):
-        # the former route: the slot matrix Omega_v(A, ., .) contracted with B
-        # and C; a (7,) A is broadcast to v's shape first, since the slot's
-        # shape follows A
-        T = loop.unit_tangent
-        for v, shape in [(T, (self.N, 7)), (T[3], (7,)), (T, (7,))]:
-            A, B, C = (draw(*shape) for _ in range(3))
-            slot = omega3_slot(g2, v, np.broadcast_to(A, np.broadcast_shapes(v.shape, shape)))
-            ref = np.einsum("...ij,...i,...j->...", slot, B, C)
-            assert_rel(omega3_integrand(g2, v, A, B, C), ref)
 
     def test_omega(self, g2, draw, loop):
         for shape in [(7,), (self.N, 7)]:

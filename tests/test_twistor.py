@@ -2,9 +2,12 @@
 difference oracle, the complex 3-form, the 4-form pairing, the exterior
 derivative identity, and the Cartan bracket pairing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from g2knot import algebra, twistor
 from g2knot.algebra import cross_field
 from g2knot.errors import StepOutOfRange
 from g2knot.knots import KnotChart, chart_bracket, nijenhuis
@@ -45,6 +48,17 @@ def fiber_field(rng, lift):
     V = smooth_field(rng, lift.base)
     coef = np.einsum("ni,ni->n", V, lift.sphere_curve)
     return V - coef[:, None] * lift.sphere_curve
+
+
+def omega3_trilinear(lift, A, B, C):
+    """omega3_eval, which takes real fields only, extended to complex ones by
+    trilinearity: one real call per choice of the real or the imaginary part
+    of each argument, times i to the number of imaginary parts chosen."""
+    value = 0j
+    for picks in itertools.product((0, 1), repeat=3):
+        parts = [np.imag(F) if p else np.real(F) for F, p in zip((A, B, C), picks)]
+        value += 1j ** sum(picks) * omega3_eval(lift, *parts)
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +153,7 @@ class TestComplexThreeForm:
         for j in range(3):
             B = 0.5 * (fields[1 + j % 3] - 1j * acs_apply(base, fields[1 + j % 3]))
             C = 0.5 * (fields[(2 + j) % 4] - 1j * acs_apply(base, fields[(2 + j) % 4]))
-            best = max(best, abs(omega3_eval(lift, A, B, C)))
+            best = max(best, abs(omega3_trilinear(lift, A, B, C)))
         assert best > 0.1
 
 
@@ -197,6 +211,25 @@ class TestExteriorDerivativeIdentity:
         assert abs(lhs - rhs) < 1e-5 * max(abs(rhs), 1.0)
         assert abs(rhs) > 1e-2
 
+    def test_covectors_are_built_once(self, fixture, monkeypatch):
+        # the four psi covectors serve both sides: the right-hand side is the
+        # integrated xi_eval bit for bit, and one call builds each covector once
+        rng, lift, fields = fixture
+        ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
+        expected = 1j * integrate(lift.base, xi_eval(*ws))
+        builds, build = [], algebra.rho_star_covector
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+        # counted in both modules, so a build through algebra.rho_star_field
+        # is seen too
+        monkeypatch.setattr(twistor, "rho_star_covector", counted)
+        monkeypatch.setattr(algebra, "rho_star_covector", counted)
+        _, rhs = d_omega3_vs_xi(lift, *ws, h=1e-4)
+        assert rhs == complex(expected)
+        assert len(builds) == 4
+
     def test_step_validation(self, fixture):
         rng, lift, fields = fixture
         ws = [SplitTangent(fiber_field(rng, lift), X) for X in fields]
@@ -248,22 +281,24 @@ class TestCartanPairing:
         bracket = 0.25 * (1j * (chart_bracket(chart, const(z), turned(t), 1e-4)
                                 + chart_bracket(chart, turned(z), const(t), 1e-4))
                           - chart_bracket(chart, turned(z), turned(t), 1e-4))
-        ref = omega3_eval(lift, type_10(x), type_10(y), bracket)
+        ref = omega3_trilinear(lift, type_10(x), type_10(y), bracket)
         cc = cartan_check(lift, x, y, z, t)
         assert abs(cc - ref) <= 1e-5 * abs(ref)
 
 
 class TestRealOnly:
-    """The twistor entry points that take real normal fields refuse complex
-    ones instead of dropping their imaginary parts; omega3_eval stays
-    complex-linear, since the Cartan reference above needs it."""
+    """The twistor entry points that take real normal fields, omega3_eval
+    among them, refuse complex ones instead of dropping their imaginary parts;
+    the tests that need Omega on complex fields expand it into real calls
+    through omega3_trilinear."""
 
     @pytest.mark.parametrize("op", [
         lambda lift, X: lift_tangent(lift, X),
         lambda lift, X: lift_tangent_fd(lift, X),
         lambda lift, X: covariant_split(lift, X),
         lambda lift, X: xi_tilde(lift, X, X.real, X.real, X.real),
-    ], ids=["lift_tangent", "lift_tangent_fd", "covariant_split", "xi_tilde"])
+        lambda lift, X: omega3_eval(lift, X.real, X.real, X),
+    ], ids=["lift_tangent", "lift_tangent_fd", "covariant_split", "xi_tilde", "omega3_eval"])
     def test_complex_field_is_refused(self, fixture, op):
         _, lift, fields = fixture
         with pytest.raises(ValueError, match="complex"):

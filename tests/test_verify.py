@@ -22,6 +22,7 @@ from g2knot.verify import (SuiteReport, VerifyConfig, _family_calibrations,
                            reports_to_json, run_suites, suite_associative,
                            suite_instanton, suite_kahler, suite_twistor)
 from test_algebra import ref_is_associative
+from test_twistor import omega3_trilinear
 
 SMALL = dict(loops=3, fields=2, n=256, instanton_samples=9)
 
@@ -137,18 +138,24 @@ class TestNondegeneracyProbe:
         return lift, X, Pe, _nondegeneracy_table(lift, X)
 
     @staticmethod
-    def assert_upper_close(table, ref):
-        upper = np.triu(np.ones((7, 7), dtype=bool), k=1)
-        assert np.abs(table[upper] - ref[upper]).max() <= 1e-13 * np.abs(ref).max()
+    def assert_close(table, ref):
+        # both triangles and the diagonal
+        assert np.abs(table - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_table_is_antisymmetric(self, probe):
+        *_, (table, _) = probe
+        scale = np.abs(table).max()
+        assert np.abs(table + table.T).max() <= 1e-13 * scale
+        assert np.abs(np.diag(table)).max() <= 1e-13 * scale
 
     def test_table_matches_per_pair_evaluation(self, probe):
         lift, X, Pe, (table, denom) = probe
         ref = np.zeros((7, 7), dtype=complex)
         for j in range(7):
-            for k in range(j + 1, 7):
+            for k in range(7):
                 ref[j, k] = twistor.omega3_eval(lift, X, Pe[j], Pe[k])
                 assert denom[j, k] == np.abs(X).max() * np.abs(Pe[j]).max() * np.abs(Pe[k]).max()
-        self.assert_upper_close(table, ref)
+        self.assert_close(table, ref)
 
     def test_table_equals_type_10_route(self, probe):
         # the former route: Omega on the (1,0) parts A = (X - i IX)/2 and
@@ -163,9 +170,9 @@ class TestNondegeneracyProbe:
         assert np.abs(F[0].imag).max() > 0.1  # the route is genuinely complex
         ref = np.zeros((7, 7), dtype=complex)
         for j in range(7):
-            for k in range(j + 1, 7):
-                ref[j, k] = twistor.omega3_eval(lift, A, F[j], F[k])
-        self.assert_upper_close(table, ref)
+            for k in range(7):
+                ref[j, k] = omega3_trilinear(lift, A, F[j], F[k])
+        self.assert_close(table, ref)
 
 
 class TestKahlerSuite:

@@ -49,5 +49,4 @@ def lifted_curvature_type_residual(form: AltForm, loops: Sequence[Loop7]) -> flo
     if len(loops) == 0:
         raise ValueError("need at least one loop")
     tau = hermitian_trace_vector(standard_g2(), form)
-    worst = max(float(np.abs(loop.unit_tangent @ tau).max()) for loop in loops)
-    return worst / norm
+    return float(np.max([np.abs(loop.unit_tangent @ tau).max() for loop in loops])) / norm

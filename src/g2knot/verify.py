@@ -176,6 +176,11 @@ def random_normal_field(rng: np.random.Generator, loop: Loop7,
     return normal_project(loop, spec.sample())
 
 
+def _sup(*fields) -> float:
+    """The one residual scale: the product of max|F| over samples and components."""
+    return float(np.prod([np.abs(F).max() for F in fields]))
+
+
 def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
          digest: str, skip: tuple[str, str] | None = None) -> SuiteReport:
     """Evaluate pre-drawn items in order and record one case per row of
@@ -183,9 +188,9 @@ def _run(suite: str, config: VerifyConfig, items: list, evaluate, cases,
 
     evaluate(item) returns a dict of metrics keyed by case name, or None
     for a skipped item. A row is (case, tolerance key or fixed bound,
-    reduction over the evaluated items' metric, floor); a floor case passes
-    above its bound, any other below. skip = (case, meta key) records how many
-    items were skipped.
+    NaN-keeping reduction over the evaluated items' metric, floor); a floor
+    case passes above its bound, any other below, and a NaN fails either.
+    skip = (case, meta key) records how many items were skipped.
     """
     results = [evaluate(item) for item in items]
     done = [r for r in results if r is not None]
@@ -216,30 +221,26 @@ def suite_kahler(config: VerifyConfig) -> SuiteReport:
         triples = [tuple(random_normal_field(rng, loop, config.max_mode)
                          for _ in range(3)) for _ in range(config.fields)]
         items.append((loop, triples))
+    names = ("d_omega_exact", "d_omega_fd", "compatibility", "nijenhuis")
 
     def evaluate(item):
         loop, triples = item
         chart = KnotChart(loop)
-        m_exact = m_fd = m_compat = m_nij = 0.0
+        vals = {name: [] for name in names}
         for fi, (X, Y, Z) in enumerate(triples):
-            scale = max(np.linalg.norm(X), np.linalg.norm(Y), np.linalg.norm(Z)) ** 3
-            m_exact = max(m_exact, abs(knots.d_omega(chart, X, Y, Z)) / scale)
-            m_fd = max(m_fd, abs(knots.d_omega_fd(chart, X, Y, Z, config.h)) / scale)
-            IX = knots.acs_apply(loop, X)
-            IY = knots.acs_apply(loop, Y)
-            pair_scale = np.linalg.norm(X) * np.linalg.norm(Y)
-            w = knots.omega(loop, X, Y)
-            m_compat = max(m_compat,
-                           abs(w - knots.hermitian_metric(loop, IX, Y)) / pair_scale,
-                           abs(knots.omega(loop, IX, IY) - w) / pair_scale)
+            pair_scale = _sup(X, Y)
+            scale = pair_scale * _sup(Z)
+            vals["d_omega_exact"].append(abs(knots.d_omega(chart, X, Y, Z)) / scale)
+            vals["d_omega_fd"].append(abs(knots.d_omega_fd(chart, X, Y, Z, config.h)) / scale)
+            IX, IY, w = knots.acs_apply(loop, X), knots.acs_apply(loop, Y), knots.omega(loop, X, Y)
+            vals["compatibility"] += [abs(w - knots.hermitian_metric(loop, IX, Y)) / pair_scale,
+                                      abs(knots.omega(loop, IX, IY) - w) / pair_scale]
             if fi < 2:  # the first two field pairs of each loop
                 nij = knots.nijenhuis_exact(chart, X, Y)
-                m_nij = max(m_nij, np.abs(nij).max() / (np.abs(X).max() * np.abs(Y).max()))
-        return {"d_omega_exact": m_exact, "d_omega_fd": m_fd,
-                "compatibility": m_compat, "nijenhuis": m_nij}
+                vals["nijenhuis"].append(np.abs(nij).max() / pair_scale)
+        return {name: np.max(v) for name, v in vals.items()}
 
-    cases = [(name, name, max, False)
-             for name in ("d_omega_exact", "d_omega_fd", "compatibility", "nijenhuis")]
+    cases = [(name, name, np.max, False) for name in names]
     report = _run("kahler", config, items, evaluate, cases,
                   f"{config.loops} loops x {config.fields} fields, seed {config.seed}")
 
@@ -314,21 +315,20 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
     def evaluate(item):
         lift, Xs, Vs = item
         base = lift.base
-        scales = [np.abs(X).max() for X in Xs]
 
         # splitting versus finite differences
         st = twistor.lift_tangent(lift, Xs[0])
         fd = twistor.lift_tangent_fd(lift, Xs[0])
-        m_lift = float(np.abs(st.vertical - fd.vertical).max()) / scales[0]
+        m_lift = float(np.abs(st.vertical - fd.vertical).max()) / _sup(Xs[0])
 
         # integrated 4-form pairing on the tangent lift
-        xi_scale = float(np.prod(scales))
+        xi_scale = _sup(*Xs)
         m_xi = abs(twistor.xi_tilde(lift, *Xs)) / xi_scale
 
         # d(3-form) = i * (4-form pairing) on split fields with random verticals
         ws = [twistor.SplitTangent(normal_project(base, V), X) for X, V in zip(Xs, Vs)]
         lhs, rhs = twistor.d_omega3_vs_xi(lift, *ws, h=config.h)
-        m_dvs = abs(lhs - rhs) / max(abs(rhs), 1.0)
+        m_dvs = abs(lhs - rhs) / np.maximum(abs(rhs), 1.0)
 
         # Cartan pairing of the 3-form with a bracket of (0,1)-fields
         cc = twistor.cartan_check(lift, Xs[0], Xs[1], Xs[2], Xs[3])
@@ -337,17 +337,17 @@ def suite_twistor(config: VerifyConfig) -> SuiteReport:
         # (3,0)-type identity and non-degeneracy probe of the 3-form
         val = twistor.omega3_eval(lift, *Xs[:3])
         rotated = twistor.omega3_eval(lift, knots.acs_apply(base, Xs[0]), *Xs[1:3])
-        m_type = abs(rotated - 1j * val) / float(np.prod(scales[:3]))
+        m_type = abs(rotated - 1j * val) / _sup(*Xs[:3])
 
         table, denom = _nondegeneracy_table(lift, Xs[0])
-        upper = np.triu(denom >= 1e-10, k=1)
+        upper = np.triu(~(denom < 1e-10), k=1)  # a NaN scale stays in
         best = float((np.abs(table[upper]) / denom[upper]).max(initial=0.0))
         return {"lift_oracle": m_lift, "xi_tilde": m_xi, "d_omega3_vs_xi": m_dvs,
                 "cartan": m_cartan, "type30": m_type, "nondegeneracy": best}
 
-    cases = [(name, name, max, False)
+    cases = [(name, name, np.max, False)
              for name in ("lift_oracle", "xi_tilde", "d_omega3_vs_xi", "cartan", "type30")]
-    cases.append(("nondegeneracy", "nondegeneracy_floor", min, True))
+    cases.append(("nondegeneracy", "nondegeneracy_floor", np.min, True))
     return _run("twistor", config, items, evaluate, cases,
                 f"{config.loops} loops, seed {config.seed}")
 
@@ -395,8 +395,8 @@ def suite_associative(config: VerifyConfig) -> SuiteReport:
         return {"calibration": float(np.abs(calib - 1.0).max()),
                 "control": float(np.abs(control).min())}
 
-    cases = [("calibration", "calibration", partial(max, default=0.0), False),
-             ("control", "control_ceiling", partial(min, default=1.0), False)]
+    cases = [("calibration", "calibration", partial(np.max, initial=0.0), False),
+             ("control", "control_ceiling", partial(np.min, initial=1.0), False)]
     return _run("associative", config, items, evaluate, cases,
                 f"{n_families} families, seed {config.seed}",
                 skip=("skipped_families", "skipped_families"))
@@ -419,14 +419,15 @@ def suite_instanton(config: VerifyConfig) -> SuiteReport:
         w = weights[i % len(weights)]
         form = AltForm(2, beta14.coeffs + w * beta7.coeffs)
         try:
-            flag, _ = is_g2_instanton(g2, form, config.tol("instanton"))
+            flag, residual = is_g2_instanton(g2, form, config.tol("instanton"))
             lifted = lifted_curvature_type_residual(form, loops)
         except ZeroCurvature:
             return None
         vanishing = lifted < config.tol("lifted_instanton")
         counts["flagged_samples"] += flag
         counts["vanishing_samples"] += vanishing
-        return {"equivalence_mismatches": float(flag != vanishing)}
+        mismatch = float(flag != vanishing) if np.isfinite([residual, lifted]).all() else np.nan
+        return {"equivalence_mismatches": mismatch}  # a NaN residual or trace cannot agree
 
     digest = f"{config.instanton_samples} samples, weights {weights}, seed {config.seed}"
     report = _run("instanton", config, list(enumerate(betas)), evaluate,

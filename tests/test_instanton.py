@@ -1,6 +1,8 @@
 """Instanton conditions on constant curvature 2-forms and the equivalence
 with the vanishing of the lifted curvature trace along knots."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ class TestLiftedResidual:
             flag, _ = is_g2_instanton(g2, form)
             lifted = lifted_curvature_type_residual(form, loops)
             assert flag == (lifted < 1e-6)
+
+    def test_nan_on_a_later_loop_is_kept(self, g2, loops):
+        # a builtin max over loops would return the first loop's value
+        form = contract(g2.rho, np.eye(7)[0])
+        bad = SimpleNamespace(unit_tangent=np.full((8, 7), np.nan))
+        assert np.isnan(lifted_curvature_type_residual(form, [loops[0], bad]))
 
     def test_zero_curvature_guard(self, g2, loops):
         with pytest.raises(ZeroCurvature):

@@ -350,6 +350,65 @@ class TestOtherSuites:
         assert not report.passed
 
 
+def nan_on_call(fn, k, poison):
+    """fn, with its k-th call's result passed through poison."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return poison(out) if len(calls) == k else out
+    return wrapper
+
+
+def scalar_nan(out):
+    return np.nan
+
+
+class TestNonFiniteResiduals:
+    """A NaN from one operator on an item after the first reads NaN and fails
+    its case, floor cases included: a builtin max or min keeps a NaN only when
+    it comes first, and a running max from 0.0 keeps none."""
+
+    @pytest.mark.parametrize("suite, module, name, k, poison, names", [
+        # kahler: 2 triples a loop; omega is called twice per triple
+        ("kahler", knots, "d_omega", 4, scalar_nan, ["d_omega_exact"]),
+        ("kahler", knots, "omega", 5, scalar_nan, ["compatibility"]),
+        ("twistor", twistor, "xi_tilde", 3, scalar_nan, ["xi_tilde"]),
+        # a NaN field leaves both the table and its scale NaN
+        ("twistor", verify, "_nondegeneracy_table", 3,
+         lambda out: (out[0] * np.nan, out[1] * np.nan), ["nondegeneracy"]),
+        ("associative", verify, "is_associative", 2,
+         lambda out: (out[0], out[1] * np.nan), ["calibration", "control"]),
+        ("instanton", verify, "lifted_curvature_type_residual", 2, scalar_nan,
+         ["equivalence_mismatches"]),
+    ], ids=["d_omega_exact", "compatibility", "xi_tilde", "nondegeneracy",
+            "calibration_and_control", "equivalence_mismatches"])
+    def test_nan_on_a_later_item_fails(self, monkeypatch, suite, module, name, k,
+                                       poison, names):
+        monkeypatch.setattr(module, name, nan_on_call(getattr(module, name), k, poison))
+        report, = run_suites(suite, VerifyConfig(seed=7, loops=5, fields=2, n=512,
+                                                 instanton_samples=9))
+        for c in (case(report, n) for n in names):
+            assert np.isnan(c["residual"]) and not c["pass"], c
+        assert not report.passed
+        assert "NaN" in report.to_json()
+
+
+class TestResidualScale:
+    def test_a_planted_defect_reads_alike_at_every_n(self, monkeypatch):
+        # G off by 1e-8 relative reads about 2.75e-8 on the sup-norm scale at
+        # either N; a Frobenius pair scale grows as N and hid it (4.3e-11 and
+        # 2.2e-11 against the 1e-10 tolerance, seed 7)
+        metric = knots.hermitian_metric
+        monkeypatch.setattr(knots, "hermitian_metric",
+                            lambda *args: metric(*args) * (1.0 + 1e-8))
+        low, high = (case(suite_kahler(VerifyConfig(seed=7, loops=3, fields=3, n=n)),
+                          "compatibility") for n in (512, 1024))
+        assert not low["pass"] and not high["pass"]
+        assert abs(low["residual"] - high["residual"]) <= 0.01 * high["residual"]
+
+
 class TestRunSuites:
     def test_all_expansion(self):
         reports = run_suites("all", VerifyConfig(**dict(SMALL, loops=2, fields=1)))
